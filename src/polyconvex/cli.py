@@ -81,7 +81,9 @@ def _cmd_check(args) -> int:
     if args.chain:
         report = is_strictly_convex_chain(polygon)
     else:
-        report = is_strictly_convex(polygon, explain=args.explain)
+        # Plain check prints no signs, so it collects none.
+        report = is_strictly_convex(polygon, explain=args.explain,
+                                    collect_signs=args.explain or args.as_json)
 
     oracle = None
     if args.oracle:

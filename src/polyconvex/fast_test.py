@@ -18,17 +18,29 @@ a_2 = ... = a_{n-2} = b_2 = ... = b_{n-1} = c_2 = ... = c_{n-1} is constant
 and nonzero (b_2 = c_2 holds identically).  Both deciders live here; they are
 tested to agree on every input.
 
+One scan kernel, ``_scan``, computes every sign: the fail-fast and explain
+runs of ``is_strictly_convex``, ``sign_table`` and the chain decider all read
+it.  It slides a window over the coordinates translated to V[0], so step i
+takes two new coordinate differences and three 2x2 cross products
+(``a_i`` from the two edge vectors at V[i], ``b_i`` and ``c_i`` from the
+translated vertices), compares each product with zero inline, and never
+wraps an index with ``% n``.  A step counts as three determinant
+evaluations in ``geometry.delta_evaluations()``, so a full scan still counts
+exactly 3(n-3)+3.  ``condition_value`` stays on raw ``delta`` products, as a
+check that does not share the kernel.
+
 Base cases: every polygon with n <= 2 is strictly convex, and a triangle is
 strictly convex iff its three vertices are not collinear.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InvalidConditionId, TooFewVertices
-from .geometry import Point, delta, sign_of
+from .geometry import Point, add_delta_evaluations, delta
 
 
 class ConditionId(NamedTuple):
@@ -84,18 +96,11 @@ class ConvexityReport:
 
 
 def sign_table(vertices: Sequence[Point]) -> SignTable:
-    """The full table of decision signs, one exact determinant per entry."""
+    """The full table of decision signs: the kernel's explain-mode table."""
     n = len(vertices)
     if n < 4:
         raise TooFewVertices(f"sign table needs n >= 4, got {n}")
-    table = SignTable()
-    v0, v1 = vertices[0], vertices[1]
-    for i in range(2, n - 1):
-        table.a[i] = sign_of(delta(vertices[i - 1], vertices[i], vertices[i + 1]))
-    for i in range(2, n):
-        table.b[i] = sign_of(delta(v0, vertices[i - 1], vertices[i]))
-        table.c[i] = sign_of(delta(v0, v1, vertices[i]))
-    return table
+    return _scan(vertices, explain=True, collect_signs=True)[1]
 
 
 def condition_value(vertices: Sequence[Point], cond: ConditionId):
@@ -140,17 +145,53 @@ def is_strictly_convex(vertices: Sequence[Point], *, explain: bool = False,
     n = len(vertices)
     if n <= 3:
         return _base_case(vertices, n)
+    failed, table = _scan(vertices, explain, collect_signs)
+    return ConvexityReport(failed is None, n, failed, table)
+
+
+def _scan(vertices: Sequence[Point], explain: bool, collect_signs: bool):
+    """The scan kernel behind every decision path; needs n >= 4.
+
+    Step i (2 <= i <= n-1) works on coordinates translated to V0: p = V[i-1],
+    c = V[i], q = V[i+1] (V0 at the last step, i.e. the origin), with
+    u = V1 - V0 and the edges e = c - p, f = q - c.  Then
+
+        a_i = e x f     (= delta(V[i-1], V[i], V[i+1]))
+        b_i = p x c     (= delta(V0, V[i-1], V[i]))
+        c_i = u x c     (= delta(V0, V1, V[i]))
+
+    and the window slides by c -> p, q -> c, f -> e, so each coordinate
+    difference is taken once.  The determinants are evaluated inline rather
+    than through geometry.delta; their count, three per step, is added to the
+    delta_evaluations() counter once on exit.  Returns (failed, table).
+    """
+    n = len(vertices)
+    x0, y0 = vertices[0]
+    ux, uy = vertices[1]
+    ux -= x0
+    uy -= y0
+    cx, cy = vertices[2]
+    cx -= x0
+    cy -= y0
+    px, py = ux, uy
+    ex, ey = cx - px, cy - py
     table = SignTable() if collect_signs else None
-    v0, v1 = vertices[0], vertices[1]
     failed = None
     prev_a = prev_b = prev_c = 0
-    for i in range(2, n):
-        a_i = sign_of(delta(vertices[i - 1], vertices[i], vertices[(i + 1) % n]))
-        b_i = sign_of(delta(v0, vertices[i - 1], vertices[i]))
-        c_i = sign_of(delta(v0, v1, vertices[i]))
+    following = itertools.chain(itertools.islice(vertices, 3, None),
+                                (vertices[0],))
+    for i, (qx, qy) in zip(range(2, n), following):
+        qx -= x0
+        qy -= y0
+        fx, fy = qx - cx, qy - cy
+        a = ex * fy - ey * fx
+        b = px * cy - py * cx
+        c = ux * cy - uy * cx
+        a_i = 1 if a > 0 else -1 if a < 0 else 0
+        b_i = 1 if b > 0 else -1 if b < 0 else 0
+        c_i = 1 if c > 0 else -1 if c < 0 else 0
         if table is not None:
-            if i <= n - 2:
-                table.a[i] = a_i
+            table.a[i] = a_i
             table.b[i] = b_i
             table.c[i] = c_i
         if i > 2 and failed is None:
@@ -162,9 +203,14 @@ def is_strictly_convex(vertices: Sequence[Point], *, explain: bool = False,
             elif prev_c * c_i <= 0:
                 failed = ConditionId(3, j)
             if failed is not None and not explain:
-                return ConvexityReport(False, n, failed, table)
+                break
         prev_a, prev_b, prev_c = a_i, b_i, c_i
-    return ConvexityReport(failed is None, n, failed, table)
+        px, py, cx, cy, ex, ey = cx, cy, qx, qy, fx, fy
+    add_delta_evaluations(3 * (i - 1))
+    if table is not None:
+        # a_{n-1} wraps around to V0 and enters no condition.
+        table.a.pop(n - 1, None)
+    return failed, table
 
 
 def is_strictly_convex_chain(vertices: Sequence[Point]) -> ConvexityReport:

@@ -57,6 +57,12 @@ def delta_evaluations() -> int:
     return _delta_evaluations
 
 
+def add_delta_evaluations(count: int) -> None:
+    """Add ``count`` determinants evaluated inline, outside delta()."""
+    global _delta_evaluations
+    _delta_evaluations += count
+
+
 def sign_of(value: Scalar) -> int:
     """Exact sign of a rational: -1, 0 or +1.  No tolerance exists or is needed."""
     if value > 0:

@@ -3,8 +3,9 @@
 One vertex per line: two whitespace-separated coordinates.  A coordinate is
 an integer ("3"), a fraction ("3/4") or a decimal ("0.25"); decimals convert
 exactly, so "0.1" is one tenth, never a binary float.  Blank lines and lines
-starting with '#' are ignored.  Writing a polygon and parsing it back
-reproduces it exactly.
+starting with '#' are ignored.  Files are UTF-8 text; other bytes are a
+PolygonParseError.  Writing a polygon and parsing it back reproduces it
+exactly.
 """
 
 from __future__ import annotations
@@ -25,6 +26,15 @@ class PolygonParseError(ValueError):
 
 
 def parse_scalar(token: str, line_number: int | None = None):
+    # Plain integers skip the Fraction regex.  The guard keeps "p/q" and
+    # decimal tokens off the exception path.  A token the guard passes but
+    # int() rejects (a superscript digit, or more digits than int() will
+    # convert) falls through, so Fraction alone decides what is accepted.
+    if token.isdigit() or (token[:1] == "-" and token[1:].isdigit()):
+        try:
+            return int(token)
+        except ValueError:
+            pass
     try:
         value = Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -35,10 +45,9 @@ def parse_scalar(token: str, line_number: int | None = None):
 def parse_polygon(text: str) -> tuple:
     vertices = []
     for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise PolygonParseError(
                 f"expected two coordinates, got {len(parts)}", line_number)
@@ -59,8 +68,15 @@ def format_polygon(vertices: Sequence[Point]) -> str:
 
 
 def read_polygon_file(path) -> tuple:
-    return parse_polygon(Path(path).read_text())
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_number = data.count(b"\n", 0, exc.start) + 1
+        raise PolygonParseError(f"not UTF-8 text: {exc.reason} at byte "
+                                f"{exc.start}", line_number) from None
+    return parse_polygon(text)
 
 
 def write_polygon_file(path, vertices: Sequence[Point]) -> None:
-    Path(path).write_text(format_polygon(vertices))
+    Path(path).write_text(format_polygon(vertices), encoding="utf-8")

@@ -44,6 +44,15 @@ def test_check_malformed_line_exits_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_check_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe 0 0\n")
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 1: not UTF-8 text" in captured.err
+
+
 def test_check_missing_file_exits_2(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.txt")]) == 2
 
@@ -180,3 +189,46 @@ def test_unknown_command_exits_2(capsys):
 
 def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
+
+
+@pytest.fixture
+def witness_file(tmp_path):
+    path = tmp_path / "witness.txt"
+    write_polygon_file(path, make_minimality_witness(6, ConditionId(2, 3)))
+    return str(path)
+
+
+# Exit code and exact stdout of every check mode, as first released.
+CHECK_OUTPUTS = {
+    ("square_file", ()): (0, "strictly-convex\n"),
+    ("square_file", ("--explain",)): (
+        0, "strictly-convex\nsigns a: 2=+1\nsigns b: 2=+1 3=+1\n"
+           "signs c: 2=+1 3=+1\n"),
+    ("square_file", ("--json",)): (
+        0, '{"verdict": true, "n": 4, "failed": null, '
+           '"signs": {"a": [1], "b": [1, 1], "c": [1, 1]}}\n'),
+    ("square_file", ("--chain",)): (0, "strictly-convex\n"),
+    ("swapped_file", ()): (1, "not-strictly-convex: C2 at i=2\n"),
+    ("swapped_file", ("--explain",)): (
+        1, "not-strictly-convex: C2 at i=2\nsigns a: 2=-1\n"
+           "signs b: 2=-1 3=+1\nsigns c: 2=-1 3=+1\n"),
+    ("swapped_file", ("--json",)): (
+        1, '{"verdict": false, "n": 4, "failed": {"omega": 2, "i": 2}, '
+           '"signs": {"a": [-1], "b": [-1, 1], "c": [-1, 1]}}\n'),
+    ("swapped_file", ("--chain",)): (1, "not-strictly-convex: C2 at i=2\n"),
+    ("witness_file", ()): (1, "not-strictly-convex: C2 at i=3\n"),
+    ("witness_file", ("--explain",)): (
+        1, "not-strictly-convex: C2 at i=3\nsigns a: 2=+1 3=+1 4=-1\n"
+           "signs b: 2=+1 3=+1 4=-1 5=-1\nsigns c: 2=+1 3=+1 4=+1 5=+1\n"),
+    ("witness_file", ("--json",)): (
+        1, '{"verdict": false, "n": 6, "failed": {"omega": 2, "i": 3}, '
+           '"signs": {"a": [1, 1, -1], "b": [1, 1, -1], "c": [1, 1, 1]}}\n'),
+    ("witness_file", ("--chain",)): (1, "not-strictly-convex: C2 at i=3\n"),
+}
+
+
+@pytest.mark.parametrize("fixture, flags", list(CHECK_OUTPUTS))
+def test_check_output_is_pinned(fixture, flags, request, capsys):
+    path = request.getfixturevalue(fixture)
+    code = main(["check", path, *flags])
+    assert (code, capsys.readouterr().out) == CHECK_OUTPUTS[fixture, flags]

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyconvex.errors import InvalidConditionId, TooFewVertices
-from polyconvex.fast_test import (ConditionId, condition_value,
-                                  is_strictly_convex, is_strictly_convex_chain,
-                                  sign_table)
-from polyconvex.generator import make_strictly_convex, random_polygon
-from polyconvex.geometry import AffineMap, Point, delta_evaluations
+from polyconvex.fast_test import (ConditionId, ConvexityReport, SignTable,
+                                  condition_value, is_strictly_convex,
+                                  is_strictly_convex_chain, sign_table)
+from polyconvex.generator import (make_strictly_convex, parabola_polygon,
+                                  random_polygon)
+from polyconvex.geometry import (AffineMap, Point, delta, delta_evaluations,
+                                 sign_of)
 from polyconvex.oracles import remove_vertex, strictly_convex_oracle
 
 P = Point
@@ -240,3 +243,100 @@ def test_exact_fraction_coordinates_near_collinear():
     assert is_strictly_convex(poly).verdict == strictly_convex_oracle(poly)
     flat = (P(0, 0), P(1, 0), P(2, 0), P(0, 1))
     assert not is_strictly_convex(flat).verdict
+
+
+def reference_scan(vertices, explain=False, collect_signs=True):
+    """The scan as first written, for n >= 4: three delta() calls and three
+    sign_of() calls per step, with the wrap-around taken by % n."""
+    n = len(vertices)
+    table = SignTable() if collect_signs else None
+    v0, v1 = vertices[0], vertices[1]
+    failed = None
+    prev_a = prev_b = prev_c = 0
+    for i in range(2, n):
+        a_i = sign_of(delta(vertices[i - 1], vertices[i], vertices[(i + 1) % n]))
+        b_i = sign_of(delta(v0, vertices[i - 1], vertices[i]))
+        c_i = sign_of(delta(v0, v1, vertices[i]))
+        if table is not None:
+            if i <= n - 2:
+                table.a[i] = a_i
+            table.b[i] = b_i
+            table.c[i] = c_i
+        if i > 2 and failed is None:
+            j = i - 1
+            if prev_a * prev_b <= 0:
+                failed = ConditionId(1, j)
+            elif prev_a * b_i <= 0:
+                failed = ConditionId(2, j)
+            elif prev_c * c_i <= 0:
+                failed = ConditionId(3, j)
+            if failed is not None and not explain:
+                return ConvexityReport(False, n, failed, table)
+        prev_a, prev_b, prev_c = a_i, b_i, c_i
+    return ConvexityReport(failed is None, n, failed, table)
+
+
+SCAN_MODES = [(False, True), (True, True), (False, False), (True, False)]
+
+
+def counted(fn, *args, **kwargs):
+    before = delta_evaluations()
+    result = fn(*args, **kwargs)
+    return result, delta_evaluations() - before
+
+
+def assert_kernel_matches_reference(poly):
+    for explain, collect_signs in SCAN_MODES:
+        expected = counted(reference_scan, poly, explain, collect_signs)
+        got = counted(is_strictly_convex, poly, explain=explain,
+                      collect_signs=collect_signs)
+        assert got == expected, (poly, explain, collect_signs)
+
+
+def test_kernel_matches_reference_loop_on_every_grid_4gon():
+    pts = [P(x, y) for x in range(3) for y in range(3)]
+    for combo in itertools.product(pts, repeat=4):
+        assert_kernel_matches_reference(combo)
+
+
+def _random_polygons(rng, count):
+    """Seeded 5..9-gons: lattice noise (mostly early failures) and affine
+    images of convex parabola polygons, some with one vertex displaced, in
+    both orientations and with int or Fraction coordinates."""
+    for _ in range(count):
+        n = rng.randint(5, 9)
+        if rng.random() < 0.3:
+            yield tuple(P(rng.randint(-3, 3), rng.randint(-3, 3))
+                        for _ in range(n))
+            continue
+        poly = list(parabola_polygon(n))
+        if rng.random() < 0.5:
+            k = rng.randrange(n)
+            poly[k] = P(poly[k].x + rng.randint(-2, 2),
+                        poly[k].y + rng.randint(-2, 2))
+        if rng.random() < 0.5:
+            poly.reverse()
+        if rng.random() < 0.5:
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                      for _ in range(6)]
+        else:
+            coeffs = [rng.randint(-9, 9) for _ in range(6)]
+        m = AffineMap(*coeffs)
+        if m.det == 0:
+            m = AffineMap(1, 0, 0, 1, *coeffs[4:])
+        yield tuple(m.apply(p) for p in poly)
+
+
+def test_kernel_matches_reference_loop_on_random_polygons():
+    rng = random.Random(20061)
+    for poly in _random_polygons(rng, 600):
+        assert_kernel_matches_reference(poly)
+
+
+def test_sign_table_is_the_explain_table_with_the_full_count():
+    for poly in (SQUARE, SWAPPED_SQUARE, parabola_polygon(9),
+                 random_polygon(8, 3, rng_seed=5)):
+        n = len(poly)
+        table, deltas = counted(sign_table, poly)
+        assert table == is_strictly_convex(poly, explain=True).signs
+        assert deltas == 3 * (n - 3) + 3

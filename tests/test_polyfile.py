@@ -1,13 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyconvex.generator import make_minimality_witness, make_strictly_convex
 from polyconvex.fast_test import ConditionId
 from polyconvex.geometry import Point
 from polyconvex.polyfile import (PolygonParseError, format_polygon,
-                                 parse_polygon, read_polygon_file,
-                                 write_polygon_file)
+                                 parse_polygon, parse_scalar,
+                                 read_polygon_file, write_polygon_file)
 
 P = Point
 
@@ -69,3 +71,65 @@ def test_file_round_trip(tmp_path):
     poly = make_strictly_convex(5)
     write_polygon_file(path, poly)
     assert read_polygon_file(path) == poly
+
+
+def fraction_only(token):
+    """The token grammar as Fraction alone defines it: the value and type
+    parse_scalar must return, or PolygonParseError."""
+    try:
+        value = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise PolygonParseError(f"bad coordinate {token!r}") from None
+    return value.numerator if value.denominator == 1 else value
+
+
+def outcome(parse, token):
+    try:
+        value = parse(token)
+    except PolygonParseError as exc:
+        return ("error", str(exc))
+    return (type(value), value)
+
+
+@pytest.mark.parametrize("token, expected", [
+    ("0", 0), ("12", 12), ("-7", -7), ("+5", 5), ("-0", 0), ("007", 7),
+    ("1_000", 1000), ("\u0663", 3), ("-\u0663", -3), ("1e3", 1000),
+    ("3/4", Fraction(3, 4)), ("0.125", Fraction(1, 8)), ("6/3", 2),
+    ("\u00b2", None), ("--5", None), ("-", None), ("", None), ("1/0", None),
+    ("1" * 4301, None), ("-" + "1" * 4301, None),
+])
+def test_parse_scalar_token_grammar(token, expected):
+    assert outcome(parse_scalar, token) == outcome(fraction_only, token)
+    if expected is None:
+        with pytest.raises(PolygonParseError):
+            parse_scalar(token)
+    else:
+        value = parse_scalar(token)
+        assert value == expected and type(value) is type(expected)
+
+
+tokens = st.one_of(
+    st.text(alphabet="0123456789-+_/.eE \u0663\u00b2", max_size=8),
+    st.from_regex(r"-?[0-9]{1,30}", fullmatch=True),
+    st.text(max_size=6),
+)
+
+
+@given(token=tokens)
+@settings(max_examples=500)
+def test_parse_scalar_matches_fraction_only_path(token):
+    assert outcome(parse_scalar, token) == outcome(fraction_only, token)
+
+
+def test_comment_lines_with_leading_space_or_no_gap():
+    text = "  # c\n#1 2\n0 0\n\t#\t3 4\n1 0\n"
+    assert parse_polygon(text) == (P(0, 0), P(1, 0))
+
+
+def test_non_utf8_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"0 0\n\xff\xfe 0 0\n")
+    with pytest.raises(PolygonParseError) as err:
+        read_polygon_file(path)
+    assert err.value.line_number == 2
+    assert "UTF-8" in str(err.value)
