@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class CollinearAnchors(ValueError):
-    """The three anchor points of a normalizing map are collinear."""
-
-
 class TooFewVertices(ValueError):
     """The operation needs more vertices than the polygon has."""
 

@@ -31,11 +31,15 @@ check that does not share the kernel.
 
 Base cases: every polygon with n <= 2 is strictly convex, and a triangle is
 strictly convex iff its three vertices are not collinear.
+
+Every decider raises TypeError on a coordinate that is not an exact rational
+(a float, say): a rounded product near a collinear triple can flip a sign.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -123,7 +127,21 @@ def condition_value(vertices: Sequence[Point], cond: ConditionId):
     return delta(v0, v1, vertices[i]) * delta(v0, v1, vertices[i + 1])
 
 
+def _require_exact(vertices: Sequence[Point]) -> None:
+    """Raise TypeError unless every coordinate is an int or a Fraction.
+
+    Floats would decide signs with rounded arithmetic, and so would Decimal,
+    which rounds each product to its context precision; convert such values
+    exactly with fractions.Fraction first.  The type scan runs in C.
+    """
+    for kind in set(map(type, itertools.chain.from_iterable(vertices))):
+        if not issubclass(kind, numbers.Rational):
+            raise TypeError(f"coordinates must be exact rationals (int or "
+                            f"Fraction), got {kind.__name__}")
+
+
 def _base_case(vertices: Sequence[Point], n: int) -> ConvexityReport:
+    _require_exact(vertices)
     if n <= 2:
         return ConvexityReport(True, n)
     ok = delta(vertices[0], vertices[1], vertices[2]) != 0
@@ -165,6 +183,7 @@ def _scan(vertices: Sequence[Point], explain: bool, collect_signs: bool):
     than through geometry.delta; their count, three per step, is added to the
     delta_evaluations() counter once on exit.  Returns (failed, table).
     """
+    _require_exact(vertices)
     n = len(vertices)
     x0, y0 = vertices[0]
     ux, uy = vertices[1]

@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 from .errors import (ExhaustedEpsilonBudget, InvalidConditionId,
                      NotQuasiStrictInput)
 from .fast_test import ConditionId, condition_value
-from .geometry import Point, delta, normalizing_map
+from .geometry import AffineMap, Point, delta
 from .predicates import is_quasi_strict
 
 
@@ -112,20 +112,34 @@ def arc_extension(polygon: Sequence[Point], variant: Arc):
     Returns (new_polygon, ArcChoice, attempts).  Raises NotQuasiStrictInput
     unless the input is a quasi-strict polygon with k >= 3 vertices.
     """
-    k = len(polygon)
-    if k < 3 or not is_quasi_strict(polygon):
+    if len(polygon) < 3 or not is_quasi_strict(polygon):
         raise NotQuasiStrictInput(
             f"extension needs a quasi-strict polygon with >= 3 vertices")
-    frame = normalizing_map(polygon[0], polygon[1], polygon[k - 1])
-    unframe = frame.inverse()
-    x, y = frame.apply(polygon[k - 2])
+    return _arc_step(tuple(polygon), variant)
+
+
+def _arc_step(polygon: tuple, variant: Arc):
+    """arc_extension for a polygon already known to be quasi-strict, k >= 3.
+
+    The frame map sends (0,0), (1,0), (0,1) to V0, V1, V[k-1]; the frame
+    coordinates (x, y) of V[k-2] follow from Cramer's rule.  Quasi-strictness
+    makes delta(V0, V1, V[k-1]) nonzero, and _keeps_quasi_strict carries the
+    invariant over to the extended polygon.
+    """
+    k = len(polygon)
+    v0, v1, before_last, last = polygon[0], polygon[1], polygon[-2], polygon[-1]
+    det = delta(v0, v1, last)
+    x = Fraction(delta(v0, before_last, last), det)
+    y = Fraction(delta(v0, v1, before_last), det)
+    (x0, y0), (x1, y1), (xl, yl) = v0, v1, last
+    frame = AffineMap(x1 - x0, xl - x0, y1 - y0, yl - y0, x0, y0)
     budget = k * (k - 1) + 1
     eps_source = _epsilons(variant, y)
     for attempt in range(1, budget + 1):
         eps = next(eps_source)
-        vertex = unframe.apply(_arc_point(variant, eps, x, y))
+        vertex = frame.apply(_arc_point(variant, eps, x, y))
         if _keeps_quasi_strict(polygon, vertex):
-            return tuple(polygon) + (vertex,), ArcChoice(variant, eps), attempt
+            return polygon + (vertex,), ArcChoice(variant, eps), attempt
     raise ExhaustedEpsilonBudget(
         f"no admissible arc point within {budget} attempts (k={k})")
 
@@ -160,7 +174,7 @@ def make_strictly_convex(n: int, seed_triangle=DEFAULT_SEED_TRIANGLE) -> tuple:
         raise ValueError(f"n must be >= 3, got {n}")
     polygon = _require_strict_seed(seed_triangle)
     while len(polygon) < n:
-        polygon = extend(polygon, Arc.ALL_HOLD)
+        polygon = _arc_step(polygon, Arc.ALL_HOLD)[0]
     return polygon
 
 
@@ -171,10 +185,10 @@ def make_minimality_witness(n: int, target,
     ALL_HOLD extensions everywhere except one: when the polygon has
     target.i + 1 vertices, the next vertex is drawn from the arc violating
     the target's condition family, planting the single failure at index
-    target.i.  Old conditions are untouched by later extensions (their
-    determinants only involve earlier vertices), and each new index gets the
-    all-hold treatment; the sign pattern is still re-verified from raw
-    determinant products after every step as a guard.
+    target.i.  Condition (omega, i) reads only V0, V1 and V[i-1..i+1], so
+    later extensions, which only append vertices, leave it untouched, and
+    each new index gets the all-hold treatment.  As a guard, the sign pattern
+    of the finished polygon is verified once from raw determinant products.
     """
     omega, i = target
     if not isinstance(n, int) or n < 4 or omega not in (1, 2, 3) \
@@ -187,8 +201,8 @@ def make_minimality_witness(n: int, target,
     variant = _VARIANT_FOR_OMEGA[target.omega]
     while len(polygon) < n:
         step = variant if len(polygon) == negate_at else Arc.ALL_HOLD
-        polygon = extend(polygon, step)
-        _verify_witness_pattern(polygon, target)
+        polygon = _arc_step(polygon, step)[0]
+    _verify_witness_pattern(polygon, target)
     return polygon
 
 

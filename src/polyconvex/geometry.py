@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .errors import CollinearAnchors
-
 Scalar = Union[int, Fraction]
 
 NEG, ZERO, POS = -1, 0, 1
@@ -72,11 +70,6 @@ def sign_of(value: Scalar) -> int:
     return ZERO
 
 
-def _exact_div(num: Scalar, den: Scalar) -> Scalar:
-    q = Fraction(num) / den
-    return q.numerator if q.denominator == 1 else q
-
-
 @dataclass(frozen=True)
 class AffineMap:
     """Affine plane map (x, y) -> (a*x + b*y + e, c*x + d*y + f)."""
@@ -88,14 +81,6 @@ class AffineMap:
     e: Scalar
     f: Scalar
 
-    @classmethod
-    def identity(cls) -> "AffineMap":
-        return cls(1, 0, 0, 1, 0, 0)
-
-    @classmethod
-    def translation(cls, tx: Scalar, ty: Scalar) -> "AffineMap":
-        return cls(1, 0, 0, 1, tx, ty)
-
     @property
     def det(self) -> Scalar:
         return self.a * self.d - self.b * self.c
@@ -104,32 +89,3 @@ class AffineMap:
         px, py = p
         return Point(self.a * px + self.b * py + self.e,
                      self.c * px + self.d * py + self.f)
-
-    def inverse(self) -> "AffineMap":
-        d = self.det
-        if d == 0:
-            raise ValueError("affine map is singular")
-        ia = _exact_div(self.d, d)
-        ib = _exact_div(-self.b, d)
-        ic = _exact_div(-self.c, d)
-        id_ = _exact_div(self.a, d)
-        return AffineMap(ia, ib, ic, id_,
-                         -(ia * self.e + ib * self.f),
-                         -(ic * self.e + id_ * self.f))
-
-
-def normalizing_map(p0, p1, p2) -> AffineMap:
-    """The unique affine map sending p0 -> (0,0), p1 -> (1,0), p2 -> (0,1).
-
-    Raises CollinearAnchors when the anchors are collinear (no such invertible
-    map exists).
-    """
-    if delta(p0, p1, p2) == 0:
-        raise CollinearAnchors(f"anchors {p0}, {p1}, {p2} are collinear")
-    p0x, p0y = p0
-    p1x, p1y = p1
-    p2x, p2y = p2
-    # The frame map (s, t) -> p0 + s*(p1-p0) + t*(p2-p0) sends the unit
-    # triangle onto the anchors; its inverse is the normalizing map.
-    frame = AffineMap(p1x - p0x, p2x - p0x, p1y - p0y, p2y - p0y, p0x, p0y)
-    return frame.inverse()

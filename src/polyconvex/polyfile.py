@@ -2,7 +2,8 @@
 
 One vertex per line: two whitespace-separated coordinates.  A coordinate is
 an integer ("3"), a fraction ("3/4") or a decimal ("0.25"); decimals convert
-exactly, so "0.1" is one tenth, never a binary float.  Blank lines and lines
+exactly, so "0.1" is one tenth, never a binary float; a decimal exponent
+beyond +-MAX_EXPONENT is a PolygonParseError.  Blank lines and lines
 starting with '#' are ignored.  Files are UTF-8 text; other bytes are a
 PolygonParseError.  Writing a polygon and parsing it back reproduces it
 exactly.
@@ -25,6 +26,31 @@ class PolygonParseError(ValueError):
         super().__init__(message)
 
 
+# Largest decimal exponent magnitude accepted: Python's default limit on the
+# digits of an int string, which integer tokens already obey.  Fraction would
+# otherwise build 10**e in full, so a nine-byte token could cost seconds.
+MAX_EXPONENT = 4300
+
+# Longest token prefix quoted in an error message.
+_QUOTE_LIMIT = 40
+
+
+def _quoted(token: str) -> str:
+    if len(token) <= _QUOTE_LIMIT:
+        return repr(token)
+    return f"{token[:_QUOTE_LIMIT]!r}... ({len(token)} characters)"
+
+
+def _exponent_too_large(token: str) -> bool:
+    # Called only for a token holding an "e" or "E"; Fraction reads the
+    # exponent after the last one.
+    mark = max(token.rfind("e"), token.rfind("E"))
+    try:
+        return abs(int(token[mark + 1:])) > MAX_EXPONENT
+    except ValueError:
+        return False
+
+
 def parse_scalar(token: str, line_number: int | None = None):
     # Plain integers skip the Fraction regex.  The guard keeps "p/q" and
     # decimal tokens off the exception path.  A token the guard passes but
@@ -35,10 +61,14 @@ def parse_scalar(token: str, line_number: int | None = None):
             return int(token)
         except ValueError:
             pass
+    if ("e" in token or "E" in token) and _exponent_too_large(token):
+        raise PolygonParseError(f"exponent beyond +-{MAX_EXPONENT} in "
+                                f"{_quoted(token)}", line_number)
     try:
         value = Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise PolygonParseError(f"bad coordinate {token!r}", line_number) from None
+        raise PolygonParseError(f"bad coordinate {_quoted(token)}",
+                                line_number) from None
     return value.numerator if value.denominator == 1 else value
 
 

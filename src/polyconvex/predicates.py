@@ -17,11 +17,6 @@ class SidednessResult(NamedTuple):
     witness_direction: Optional[Point]
 
 
-def is_ordinary(vertices: Sequence[Point]) -> bool:
-    """True iff all vertices are pairwise distinct."""
-    return len(set(vertices)) == len(vertices)
-
-
 def is_strict(vertices: Sequence[Point]) -> bool:
     """True iff no three vertices at distinct indices are collinear.
 
@@ -79,37 +74,3 @@ def strictly_one_side(targets: Sequence[Point], seg_start: Point,
     sx, sy = seg_start
     ex, ey = seg_end
     return SidednessResult(True, Point(-eps * (ey - sy), eps * (ex - sx)))
-
-
-def one_side(targets: Sequence[Point], seg_start: Point, seg_end: Point) -> bool:
-    """True iff some closed half-plane bounded by a line through the segment
-    contains every target.
-
-    Non-degenerate segment: the line is fixed, so the orientation signs must
-    not mix +1 and -1 (zeros are fine).  Degenerate segment: any line through
-    the point may support, so the nonzero target offsets must fit a closed
-    half-plane anchored at the point; if they do, one exists whose boundary
-    passes through an offset, so testing the two perpendiculars of each offset
-    via pairwise cross-product signs decides exactly.
-    """
-    if seg_start != seg_end:
-        pos = neg = False
-        for t in targets:
-            s = sign_of(delta(t, seg_start, seg_end))
-            if s > 0:
-                pos = True
-            elif s < 0:
-                neg = True
-            if pos and neg:
-                return False
-        return True
-    px, py = seg_start
-    offsets = [(tx - px, ty - py) for tx, ty in targets if (tx, ty) != (px, py)]
-    if not offsets:
-        return True
-    for ox, oy in offsets:
-        if all(ox * qy - oy * qx >= 0 for qx, qy in offsets):
-            return True
-        if all(ox * qy - oy * qx <= 0 for qx, qy in offsets):
-            return True
-    return False

@@ -53,6 +53,16 @@ def test_check_non_utf8_file_exits_2(tmp_path, capsys):
     assert "line 1: not UTF-8 text" in captured.err
 
 
+@pytest.mark.parametrize("token", ["1e4301", "1E-1000000", "1.5e+4301"])
+def test_check_huge_exponent_exits_2(token, tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"0 0\n1 0\n{token} 1\n")
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 3: exponent beyond" in captured.err
+
+
 def test_check_missing_file_exits_2(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.txt")]) == 2
 

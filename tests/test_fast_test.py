@@ -1,5 +1,6 @@
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -243,6 +244,31 @@ def test_exact_fraction_coordinates_near_collinear():
     assert is_strictly_convex(poly).verdict == strictly_convex_oracle(poly)
     flat = (P(0, 0), P(1, 0), P(2, 0), P(0, 1))
     assert not is_strictly_convex(flat).verdict
+
+
+# Strictly convex in exact arithmetic, yet float arithmetic rejects it.
+FLOAT_QUAD = ((0.0, 0.0), (0.5, -1.0), (1.0, 0.30000000000000004),
+              (0.763774618976614, 0.22913238569298425))
+
+
+def test_float_coordinates_are_rejected():
+    exact = tuple(P(Fraction(x), Fraction(y)) for x, y in FLOAT_QUAD)
+    assert is_strictly_convex(exact).verdict
+    assert strictly_convex_oracle(exact)
+    for decide in (is_strictly_convex, is_strictly_convex_chain, sign_table):
+        with pytest.raises(TypeError, match="float"):
+            decide(FLOAT_QUAD)
+
+
+@pytest.mark.parametrize("vertices", [
+    ((0.5, 0),),
+    ((0, 0), (1, 0), (0, 1.0)),
+    (P(0, 0), P(1, 0), P(1, 1), P(Decimal("0.1"), 1)),
+])
+def test_inexact_coordinates_are_rejected_at_every_size(vertices):
+    for decide in (is_strictly_convex, is_strictly_convex_chain):
+        with pytest.raises(TypeError):
+            decide(vertices)
 
 
 def reference_scan(vertices, explain=False, collect_signs=True):

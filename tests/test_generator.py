@@ -1,6 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polyconvex.errors import InvalidConditionId, NotQuasiStrictInput
 from polyconvex.fast_test import (ConditionId, condition_value,
@@ -11,6 +14,7 @@ from polyconvex.generator import (Arc, DEFAULT_SEED_TRIANGLE, arc_extension,
                                   random_polygon)
 from polyconvex.geometry import Point
 from polyconvex.oracles import hull_oracle, strictly_convex_oracle
+from polyconvex.polyfile import format_polygon
 from polyconvex.predicates import is_quasi_strict
 
 P = Point
@@ -50,6 +54,66 @@ def test_extend_rejects_collinear_input():
 def test_extend_rejects_short_input():
     with pytest.raises(NotQuasiStrictInput):
         extend((P(0, 0), P(1, 0)), Arc.ALL_HOLD)
+
+
+NOT_QUASI_STRICT = [
+    # V2 lies on the line of the edge [V0, V1]
+    (P(0, 0), P(1, 0), P(2, 0), P(0, 1)),
+    # V1 lies on the line of the edge [V3, V4]
+    (P(0, 0), P(2, 1), P(4, 0), P(2, 4), P(2, -4)),
+]
+
+
+@pytest.mark.parametrize("polygon", NOT_QUASI_STRICT)
+def test_extension_rejects_larger_non_quasi_strict_input(polygon):
+    with pytest.raises(NotQuasiStrictInput):
+        extend(polygon, Arc.ALL_HOLD)
+    with pytest.raises(NotQuasiStrictInput):
+        arc_extension(polygon, Arc.NEG_C1)
+
+
+quasi_strict_polygons = st.lists(
+    st.builds(Point, st.integers(-4, 4), st.integers(-4, 4)),
+    min_size=3, max_size=6).map(tuple).filter(is_quasi_strict)
+
+
+@given(polygon=quasi_strict_polygons, variant=st.sampled_from(list(Arc)))
+def test_extension_plants_its_arc_pattern_on_any_quasi_strict_input(
+        polygon, variant):
+    bigger = extend(polygon, variant)
+    assert bigger[:len(polygon)] == polygon
+    assert is_quasi_strict(bigger)
+    failing = {Arc.NEG_C1: 1, Arc.NEG_C2: 2, Arc.NEG_C3: 3}.get(variant)
+    held = conditions_at_new_index(bigger)
+    assert held == {omega: omega != failing for omega in (1, 2, 3)}
+
+
+# SHA-256 of format_polygon output, recorded before the frame map was built
+# directly instead of through a double inverse: the exact output must not move.
+PINNED_BUILDS = {
+    "convex-20": (
+        lambda: make_strictly_convex(20),
+        "07879145378ff88f1fb384811b9c403155e1b3a26a2d6ebff2b75e17d6f3e39c"),
+    "custom-seed-12": (
+        lambda: make_strictly_convex(12, (P(2, 1), P(5, 2), P(3, 4))),
+        "313eb9c565294e9bbbee0581cdcc7c5469a2404707cfb50de2836034031c8294"),
+    "witness-12-C1-4": (
+        lambda: make_minimality_witness(12, ConditionId(1, 4)),
+        "cf447fc4ec24b6a39878b267b42c972543e19de9a84bc6d9629884f34cd61e9f"),
+    "witness-12-C2-7": (
+        lambda: make_minimality_witness(12, ConditionId(2, 7)),
+        "6a339f782b81b4e73b91598bae4dff79545ded5c0a128e1ff1cf532517cf77bd"),
+    "witness-12-C3-10": (
+        lambda: make_minimality_witness(12, ConditionId(3, 10)),
+        "01becc4b059a811fc66d65cfeb4862bb6b4a38f63adba94260cdf71bb9dbeee6"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_BUILDS)
+def test_generator_output_is_pinned(name):
+    build, digest = PINNED_BUILDS[name]
+    text = format_polygon(build())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_extend_preserves_prefix_verbatim():

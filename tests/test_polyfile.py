@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from polyconvex.generator import make_minimality_witness, make_strictly_convex
 from polyconvex.fast_test import ConditionId
 from polyconvex.geometry import Point
-from polyconvex.polyfile import (PolygonParseError, format_polygon,
-                                 parse_polygon, parse_scalar,
+from polyconvex.polyfile import (MAX_EXPONENT, PolygonParseError, _quoted,
+                                 format_polygon, parse_polygon, parse_scalar,
                                  read_polygon_file, write_polygon_file)
 
 P = Point
@@ -74,12 +75,21 @@ def test_file_round_trip(tmp_path):
 
 
 def fraction_only(token):
-    """The token grammar as Fraction alone defines it: the value and type
-    parse_scalar must return, or PolygonParseError."""
+    """The token grammar without the int() fast path: the exponent cap, then
+    Fraction alone decides.  The value and type parse_scalar must return, or
+    PolygonParseError with the same message."""
+    mark = max(token.rfind("e"), token.rfind("E"))
+    try:
+        too_large = mark >= 0 and abs(int(token[mark + 1:])) > MAX_EXPONENT
+    except ValueError:
+        too_large = False
+    if too_large:
+        raise PolygonParseError(
+            f"exponent beyond +-{MAX_EXPONENT} in {_quoted(token)}")
     try:
         value = Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise PolygonParseError(f"bad coordinate {token!r}") from None
+        raise PolygonParseError(f"bad coordinate {_quoted(token)}") from None
     return value.numerator if value.denominator == 1 else value
 
 
@@ -119,6 +129,27 @@ tokens = st.one_of(
 @settings(max_examples=500)
 def test_parse_scalar_matches_fraction_only_path(token):
     assert outcome(parse_scalar, token) == outcome(fraction_only, token)
+
+
+@pytest.mark.parametrize("token", ["1e4301", "1E-1000000", "1.5e+4301"])
+def test_huge_decimal_exponent_is_rejected_quickly(token):
+    start = time.perf_counter()
+    with pytest.raises(PolygonParseError, match="exponent beyond"):
+        parse_polygon(f"0 0\n1 {token}\n")
+    # Building 10**1000000 in full took about 0.2 s.
+    assert time.perf_counter() - start < 0.05
+
+
+def test_exponent_at_the_cap_still_parses_exactly():
+    assert parse_scalar("1e4300") == 10 ** 4300
+    assert parse_scalar("2.5e-3") == Fraction(1, 400)
+
+
+def test_bad_coordinate_message_quotes_a_bounded_prefix():
+    with pytest.raises(PolygonParseError) as err:
+        parse_scalar("1" * 4301)
+    message = str(err.value)
+    assert len(message) < 100 and "4301 characters" in message
 
 
 def test_comment_lines_with_leading_space_or_no_gap():

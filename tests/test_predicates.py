@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +6,7 @@ from polyconvex.generator import Arc, extend, make_minimality_witness, make_stri
 from polyconvex.fast_test import ConditionId
 from polyconvex.geometry import AffineMap, Point, delta
 from polyconvex.oracles import strictly_convex_oracle
-from polyconvex.predicates import (is_ordinary, is_quasi_strict, is_strict,
-                                   one_side, strictly_one_side)
+from polyconvex.predicates import is_quasi_strict, is_strict, strictly_one_side
 
 P = Point
 SQUARE = (P(0, 0), P(1, 0), P(1, 1), P(0, 1))
@@ -20,20 +17,6 @@ scalars = st.one_of(
 )
 points = st.builds(Point, scalars, scalars)
 point_lists = st.lists(points, max_size=7)
-
-
-@pytest.mark.parametrize("vertices, expected", [
-    ((P(0, 0), P(1, 0), P(1, 1)), True),
-    ((P(0, 0), P(1, 0), P(0, 0)), False),
-    ((), True),
-])
-def test_is_ordinary(vertices, expected):
-    assert is_ordinary(vertices) is expected
-
-
-def test_ordinary_sees_through_representation():
-    # 1 and Fraction(1) are the same rational, so they collide as vertices
-    assert not is_ordinary((P(1, 0), P(Fraction(1), Fraction(0))))
 
 
 @pytest.mark.parametrize("vertices, expected", [
@@ -90,34 +73,6 @@ def test_strictly_one_side_empty_targets():
     assert res.holds and res.witness_direction is not None
 
 
-@pytest.mark.parametrize("targets, start, end, expected", [
-    ([P(0, 1), P(1, 0)], P(0, 0), P(1, 1), False),
-    ([P(0, 1), P(2, 0)], P(0, 0), P(1, 0), True),
-    ([], P(3, 3), P(4, 5), True),
-])
-def test_one_side(targets, start, end, expected):
-    assert one_side(targets, start, end) is expected
-
-
-@pytest.mark.parametrize("targets, expected", [
-    ([], True),
-    ([P(5, 5)], True),                              # coincides with the point
-    ([P(6, 5), P(7, 8)], True),                      # within a half-plane
-    ([P(6, 5), P(4, 5)], True),                      # opposite rays still fit a line
-    ([P(6, 5), P(4, 5), P(5, 6)], True),             # closed upper half-plane
-    ([P(6, 5), P(4, 5), P(5, 6), P(5, 4)], False),   # offsets span all directions
-    ([P(6, 6), P(4, 6), P(5, 3)], False),
-])
-def test_one_side_degenerate_segment(targets, expected):
-    assert one_side(targets, P(5, 5), P(5, 5)) is expected
-
-
-@given(targets=point_lists, start=points, end=points)
-def test_strict_implies_plain_sidedness(targets, start, end):
-    if strictly_one_side(targets, start, end).holds:
-        assert one_side(targets, start, end)
-
-
 @given(targets=point_lists, start=points, end=points, ma=scalars, mb=scalars,
        mc=scalars, md=scalars, me=scalars, mf=scalars)
 @settings(max_examples=200)
@@ -147,9 +102,9 @@ def test_generated_quasi_strict_polygons_are_ordinary():
     polygons += [make_minimality_witness(6, ConditionId(omega, i))
                  for omega in (1, 2, 3) for i in (2, 3, 4)]
     polygons.append(extend(make_strictly_convex(5), Arc.NEG_C2))
+    # For n >= 3, quasi-strict already rules out two equal vertices.
     for poly in polygons:
         assert is_quasi_strict(poly)
-        assert is_ordinary(poly)
 
 
 def test_oracle_certified_convex_polygons_have_strict_equal_quasi_strict():
