@@ -2,27 +2,30 @@
 
     polyconvex check FILE [--explain] [--oracle] [--chain] [--json]
     polyconvex generate --n N --mode convex|witness [--omega W --i I] --out FILE
-    polyconvex bench --sizes A,B,C [--reps R] [--with-oracle]
 
 Exit codes: 0 strictly convex, 1 not strictly convex, 2 parse or usage error,
-3 oracle disagreement (an invariant violation worth a loud failure).
+3 oracle disagreement (an invariant violation worth a loud failure), 4 any
+other error, with its traceback on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
-import time
-from typing import NamedTuple
+import traceback
 
-from .errors import TooFewVertices
 from .fast_test import ConditionId, is_strictly_convex, is_strictly_convex_chain
-from .generator import make_minimality_witness, make_strictly_convex, parabola_polygon
-from .geometry import delta_evaluations
+from .generator import make_minimality_witness, make_strictly_convex
 from .oracles import hull_oracle, strictly_convex_oracle
-from .polyfile import PolygonParseError, read_polygon_file, write_polygon_file
+from .polyfile import (MAX_DIGITS, PolygonParseError, read_polygon_file,
+                       write_polygon_file)
+
+# Largest `generate --n`.  With the default seed, the coordinates of
+# make_strictly_convex(56) and of every witness at n = 56 have at most 4,178
+# digits; at n = 57 they reach 4,338, past what a polygon file can hold
+# (MAX_DIGITS), and each further vertex costs more to build.
+MAX_GENERATE_N = 56
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,14 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output file path")
     gen.set_defaults(func=_cmd_generate)
 
-    bench = sub.add_parser("bench", help="time the linear test on generated convex polygons")
-    bench.add_argument("--sizes", required=True,
-                       help="comma-separated vertex counts, each >= 4")
-    bench.add_argument("--reps", type=int, default=3,
-                       help="timing repetitions per size (median is reported)")
-    bench.add_argument("--with-oracle", action="store_true",
-                       help="also time the quadratic oracle (slow for large n)")
-    bench.set_defaults(func=_cmd_bench)
     return parser
 
 
@@ -74,6 +69,10 @@ def main(argv=None) -> int:
     except (PolygonParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # Exit 1 means "not strictly convex" and nothing else.
+        traceback.print_exc()
+        return 4
 
 
 def _cmd_check(args) -> int:
@@ -130,86 +129,25 @@ def _print_text_report(report, explain: bool, oracle) -> None:
 
 
 def _cmd_generate(args) -> int:
-    if args.mode == "convex":
-        if args.n < 3:
-            print("error: convex mode needs --n >= 3", file=sys.stderr)
-            return 2
-        polygon = make_strictly_convex(args.n)
-    else:
-        if args.omega is None or args.index is None:
-            print("error: witness mode needs --omega and --i", file=sys.stderr)
-            return 2
-        if args.n < 4 or args.omega not in (1, 2, 3) \
-                or not 2 <= args.index <= args.n - 2:
-            print(f"error: witness needs n >= 4, omega in {{1,2,3}}, "
-                  f"i in [2, n-2]; got n={args.n}, omega={args.omega}, "
-                  f"i={args.index}", file=sys.stderr)
-            return 2
-        polygon = make_minimality_witness(args.n, ConditionId(args.omega, args.index))
+    if args.n > MAX_GENERATE_N:
+        print(f"error: --n must be <= {MAX_GENERATE_N}, got {args.n}: larger "
+              f"polygons have coordinates of more than {MAX_DIGITS} digits",
+              file=sys.stderr)
+        return 2
+    if args.mode == "witness" and (args.omega is None or args.index is None):
+        print("error: witness mode needs --omega and --i", file=sys.stderr)
+        return 2
+    try:
+        if args.mode == "convex":
+            polygon = make_strictly_convex(args.n)
+        else:
+            polygon = make_minimality_witness(
+                args.n, ConditionId(args.omega, args.index))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     write_polygon_file(args.out, polygon)
     print(f"wrote {len(polygon)} vertices to {args.out}")
-    return 0
-
-
-class BenchRow(NamedTuple):
-    n: int
-    fast_ns: int
-    oracle_ns: int | None
-    deltas: int
-
-
-def bench_rows(sizes, reps: int = 3, with_oracle: bool = False) -> list[BenchRow]:
-    """Time the linear test (and optionally the quadratic oracle) on generated
-    strictly convex polygons.
-
-    Only the decision loop is timed; generation and parsing are excluded.
-    The reported delta count is from the last timed run and must equal
-    3(n-3)+3 on every size.
-    """
-    rows = []
-    for n in sizes:
-        polygon = parabola_polygon(n)
-        times = []
-        deltas = 0
-        for _ in range(reps):
-            before = delta_evaluations()
-            t0 = time.perf_counter_ns()
-            report = is_strictly_convex(polygon, collect_signs=False)
-            elapsed = time.perf_counter_ns() - t0
-            deltas = delta_evaluations() - before
-            times.append(elapsed)
-            if not report.verdict:
-                raise RuntimeError(f"generated {n}-gon failed the fast test")
-        oracle_ns = None
-        if with_oracle:
-            oracle_times = []
-            for _ in range(reps):
-                t0 = time.perf_counter_ns()
-                verdict = strictly_convex_oracle(polygon)
-                oracle_times.append(time.perf_counter_ns() - t0)
-                if not verdict:
-                    raise RuntimeError(f"generated {n}-gon failed the oracle")
-            oracle_ns = int(statistics.median(oracle_times))
-        rows.append(BenchRow(n, int(statistics.median(times)), oracle_ns, deltas))
-    return rows
-
-
-def _cmd_bench(args) -> int:
-    try:
-        sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
-    except ValueError:
-        print(f"error: bad --sizes {args.sizes!r}", file=sys.stderr)
-        return 2
-    if not sizes or any(n < 4 for n in sizes):
-        print("error: every bench size must be >= 4", file=sys.stderr)
-        return 2
-    if args.reps < 1:
-        print("error: --reps must be >= 1", file=sys.stderr)
-        return 2
-    print("n,fast_ns,oracle_ns,deltas_evaluated")
-    for row in bench_rows(sizes, args.reps, args.with_oracle):
-        oracle_cell = "" if row.oracle_ns is None else str(row.oracle_ns)
-        print(f"{row.n},{row.fast_ns},{oracle_cell},{row.deltas}")
     return 0
 
 

@@ -39,12 +39,11 @@ Every decider raises TypeError on a coordinate that is not an exact rational
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InvalidConditionId, TooFewVertices
-from .geometry import Point, add_delta_evaluations, delta
+from .geometry import Point, add_delta_evaluations, delta, require_exact
 
 
 class ConditionId(NamedTuple):
@@ -118,30 +117,17 @@ def condition_value(vertices: Sequence[Point], cond: ConditionId):
     if omega not in (1, 2, 3) or not 2 <= i <= n - 2:
         raise InvalidConditionId(f"no condition ({omega}, {i}) for an {n}-gon")
     v0, v1 = vertices[0], vertices[1]
+    prev, cur, nxt = vertices[i - 1], vertices[i], vertices[i + 1]
+    require_exact((v0, v1, prev, cur, nxt))
     if omega == 1:
-        return (delta(vertices[i - 1], vertices[i], vertices[i + 1])
-                * delta(v0, vertices[i - 1], vertices[i]))
+        return delta(prev, cur, nxt) * delta(v0, prev, cur)
     if omega == 2:
-        return (delta(vertices[i - 1], vertices[i], vertices[i + 1])
-                * delta(v0, vertices[i], vertices[i + 1]))
-    return delta(v0, v1, vertices[i]) * delta(v0, v1, vertices[i + 1])
-
-
-def _require_exact(vertices: Sequence[Point]) -> None:
-    """Raise TypeError unless every coordinate is an int or a Fraction.
-
-    Floats would decide signs with rounded arithmetic, and so would Decimal,
-    which rounds each product to its context precision; convert such values
-    exactly with fractions.Fraction first.  The type scan runs in C.
-    """
-    for kind in set(map(type, itertools.chain.from_iterable(vertices))):
-        if not issubclass(kind, numbers.Rational):
-            raise TypeError(f"coordinates must be exact rationals (int or "
-                            f"Fraction), got {kind.__name__}")
+        return delta(prev, cur, nxt) * delta(v0, cur, nxt)
+    return delta(v0, v1, cur) * delta(v0, v1, nxt)
 
 
 def _base_case(vertices: Sequence[Point], n: int) -> ConvexityReport:
-    _require_exact(vertices)
+    require_exact(vertices)
     if n <= 2:
         return ConvexityReport(True, n)
     ok = delta(vertices[0], vertices[1], vertices[2]) != 0
@@ -183,7 +169,7 @@ def _scan(vertices: Sequence[Point], explain: bool, collect_signs: bool):
     than through geometry.delta; their count, three per step, is added to the
     delta_evaluations() counter once on exit.  Returns (failed, table).
     """
-    _require_exact(vertices)
+    require_exact(vertices)
     n = len(vertices)
     x0, y0 = vertices[0]
     ux, uy = vertices[1]

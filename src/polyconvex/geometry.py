@@ -10,6 +10,8 @@ rounding error near a collinear configuration could flip it.
 
 from __future__ import annotations
 
+import itertools
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -59,6 +61,20 @@ def add_delta_evaluations(count: int) -> None:
     """Add ``count`` determinants evaluated inline, outside delta()."""
     global _delta_evaluations
     _delta_evaluations += count
+
+
+def require_exact(vertices) -> None:
+    """Raise TypeError unless every coordinate is an int or a Fraction.
+
+    Every decider calls this on the vertices it reads.  Floats would decide
+    signs with rounded arithmetic, and so would Decimal, which rounds each
+    product to its context precision; convert such values exactly with
+    fractions.Fraction first.  The type scan runs in C.
+    """
+    for kind in set(map(type, itertools.chain.from_iterable(vertices))):
+        if not issubclass(kind, numbers.Rational):
+            raise TypeError(f"coordinates must be exact rationals (int or "
+                            f"Fraction), got {kind.__name__}")
 
 
 def sign_of(value: Scalar) -> int:

@@ -3,7 +3,8 @@
 Two independent routes: an all-edges sidedness sweep, and a convex-hull
 boundary-order comparison.  They share nothing with the linear-time test
 beyond the orientation determinant, so three-way agreement is meaningful
-evidence rather than an echo.
+evidence rather than an echo.  Like the linear-time deciders, both raise
+TypeError on a coordinate that is not an exact rational.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import IndexOutOfRange, TooFewVertices
-from .geometry import Point, delta
+from .geometry import Point, delta, require_exact
 from .predicates import is_strict, strictly_one_side
 
 
@@ -21,6 +22,7 @@ def strictly_convex_oracle(vertices: Sequence[Point]) -> bool:
     n = len(vertices)
     if n < 3:
         raise TooFewVertices(f"oracle needs n >= 3, got {n}")
+    require_exact(vertices)
     for i in range(n):
         j = (i + 1) % n
         targets = [vertices[k] for k in range(n) if k != i and k != j]
@@ -107,6 +109,7 @@ def hull_oracle(vertices: Sequence[Point]) -> bool:
     n = len(vertices)
     if n < 3:
         raise TooFewVertices(f"oracle needs n >= 3, got {n}")
+    require_exact(vertices)
     return is_strict(vertices) and matches_hull_order(vertices)
 
 

@@ -2,8 +2,9 @@
 
 One vertex per line: two whitespace-separated coordinates.  A coordinate is
 an integer ("3"), a fraction ("3/4") or a decimal ("0.25"); decimals convert
-exactly, so "0.1" is one tenth, never a binary float; a decimal exponent
-beyond +-MAX_EXPONENT is a PolygonParseError.  Blank lines and lines
+exactly, so "0.1" is one tenth, never a binary float.  A decimal exponent
+beyond +-MAX_DIGITS, or a value whose numerator or denominator has more than
+MAX_DIGITS digits, is a PolygonParseError.  Blank lines and lines
 starting with '#' are ignored.  Files are UTF-8 text; other bytes are a
 PolygonParseError.  Writing a polygon and parsing it back reproduces it
 exactly.
@@ -26,10 +27,13 @@ class PolygonParseError(ValueError):
         super().__init__(message)
 
 
-# Largest decimal exponent magnitude accepted: Python's default limit on the
-# digits of an int string, which integer tokens already obey.  Fraction would
-# otherwise build 10**e in full, so a nine-byte token could cost seconds.
-MAX_EXPONENT = 4300
+# Python's default limit on the digits of an int string.  Integer tokens
+# obey it already, and format_scalar cannot write a numerator or denominator
+# longer than this, so no parsed value may have one.  It also bounds a decimal
+# exponent before Fraction builds 10**e in full, which for a nine-byte token
+# could cost seconds.
+MAX_DIGITS = 4300
+_TOO_MANY_DIGITS = 10 ** MAX_DIGITS
 
 # Longest token prefix quoted in an error message.
 _QUOTE_LIMIT = 40
@@ -46,7 +50,7 @@ def _exponent_too_large(token: str) -> bool:
     # exponent after the last one.
     mark = max(token.rfind("e"), token.rfind("E"))
     try:
-        return abs(int(token[mark + 1:])) > MAX_EXPONENT
+        return abs(int(token[mark + 1:])) > MAX_DIGITS
     except ValueError:
         return False
 
@@ -62,13 +66,17 @@ def parse_scalar(token: str, line_number: int | None = None):
         except ValueError:
             pass
     if ("e" in token or "E" in token) and _exponent_too_large(token):
-        raise PolygonParseError(f"exponent beyond +-{MAX_EXPONENT} in "
+        raise PolygonParseError(f"exponent beyond +-{MAX_DIGITS} in "
                                 f"{_quoted(token)}", line_number)
     try:
         value = Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise PolygonParseError(f"bad coordinate {_quoted(token)}",
                                 line_number) from None
+    if (abs(value.numerator) >= _TOO_MANY_DIGITS
+            or value.denominator >= _TOO_MANY_DIGITS):
+        raise PolygonParseError(f"more than {MAX_DIGITS} digits in "
+                                f"{_quoted(token)}", line_number)
     return value.numerator if value.denominator == 1 else value
 
 

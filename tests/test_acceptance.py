@@ -8,13 +8,13 @@ in module-scoped fixtures and shared by the criteria that consume them.
 import itertools
 import math
 import random
+import statistics
 import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from polyconvex.cli import bench_rows
 from polyconvex.fast_test import (ConditionId, condition_value,
                                   is_strictly_convex, is_strictly_convex_chain)
 from polyconvex.generator import (make_minimality_witness, make_strictly_convex,
@@ -221,10 +221,26 @@ def test_criterion_7_work_bound():
     assert ok
 
 
+def time_decision(n, reps=3):
+    """Median nanoseconds of the decision loop alone on the n-vertex parabola
+    polygon, and the determinant count of the last run."""
+    poly = parabola_polygon(n)
+    times = []
+    for _ in range(reps):
+        before = delta_evaluations()
+        start = time.perf_counter_ns()
+        report = is_strictly_convex(poly, collect_signs=False)
+        times.append(time.perf_counter_ns() - start)
+        deltas = delta_evaluations() - before
+        assert report.verdict
+    return statistics.median(times), deltas
+
+
 def test_criterion_8_linear_scaling():
-    rows = bench_rows([10**5, 10**6], reps=3)
-    ratio = rows[1].fast_ns / rows[0].fast_ns
-    counts_ok = all(r.deltas == 3 * (r.n - 3) + 3 for r in rows)
+    timed = {n: time_decision(n) for n in (10**5, 10**6)}
+    ratio = timed[10**6][0] / timed[10**5][0]
+    counts_ok = all(deltas == 3 * (n - 3) + 3
+                    for n, (_, deltas) in timed.items())
 
     # constant-size auxiliary state: benchmark mode returns no sign table,
     # and the decision's transient allocations stay far below table scale

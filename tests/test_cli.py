@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from polyconvex import cli
 from polyconvex.cli import main
 from polyconvex.fast_test import ConditionId
 from polyconvex.generator import make_minimality_witness
@@ -156,6 +158,30 @@ def test_generate_usage_errors_exit_2(argv, tmp_path, capsys):
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize("mode", [
+    ["--mode", "convex"], ["--mode", "witness", "--omega", "1", "--i", "2"]])
+@pytest.mark.parametrize("n", [cli.MAX_GENERATE_N + 1, 10**6])
+def test_generate_beyond_the_cap_exits_2_at_once(mode, n, tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    start = time.perf_counter()
+    assert main(["generate", *mode, "--n", str(n), "--out", str(out)]) == 2
+    # Building the 57-gon alone takes seconds.
+    assert time.perf_counter() - start < 0.5
+    assert f"--n must be <= {cli.MAX_GENERATE_N}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unexpected_error_exits_4_with_traceback(square_file, monkeypatch,
+                                                capsys):
+    def broken(path):
+        raise RuntimeError("broken reader")
+    monkeypatch.setattr(cli, "read_polygon_file", broken)
+    assert main(["check", square_file]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "broken reader" in captured.err
+
+
 def test_generate_deterministic_output(tmp_path, capsys):
     first = tmp_path / "a.txt"
     second = tmp_path / "b.txt"
@@ -165,36 +191,9 @@ def test_generate_deterministic_output(tmp_path, capsys):
     assert first.read_text() == second.read_text()
 
 
-def test_bench_rejects_small_sizes(capsys):
-    assert main(["bench", "--sizes", "3"]) == 2
-
-
-def test_bench_rejects_bad_sizes(capsys):
-    assert main(["bench", "--sizes", "ten"]) == 2
-
-
-def test_bench_reports_exact_delta_counts(capsys):
-    assert main(["bench", "--sizes", "8,40", "--reps", "1"]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert out[0] == "n,fast_ns,oracle_ns,deltas_evaluated"
-    rows = [line.split(",") for line in out[1:]]
-    assert [int(r[0]) for r in rows] == [8, 40]
-    for r in rows:
-        n = int(r[0])
-        assert int(r[3]) == 3 * (n - 3) + 3
-        assert int(r[1]) > 0
-        assert r[2] == ""
-
-
-def test_bench_with_oracle_fills_column(capsys):
-    assert main(["bench", "--sizes", "12", "--reps", "1", "--with-oracle"]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    row = out[1].split(",")
-    assert int(row[2]) > 0
-
-
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+    assert main(["bench", "--sizes", "8"]) == 2
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -15,7 +15,8 @@ from polyconvex.generator import (make_strictly_convex, parabola_polygon,
                                   random_polygon)
 from polyconvex.geometry import (AffineMap, Point, delta, delta_evaluations,
                                  sign_of)
-from polyconvex.oracles import remove_vertex, strictly_convex_oracle
+from polyconvex.oracles import (hull_oracle, remove_vertex,
+                                strictly_convex_oracle)
 
 P = Point
 SQUARE = (P(0, 0), P(1, 0), P(1, 1), P(0, 1))
@@ -255,7 +256,10 @@ def test_float_coordinates_are_rejected():
     exact = tuple(P(Fraction(x), Fraction(y)) for x, y in FLOAT_QUAD)
     assert is_strictly_convex(exact).verdict
     assert strictly_convex_oracle(exact)
-    for decide in (is_strictly_convex, is_strictly_convex_chain, sign_table):
+    assert condition_value(exact, ConditionId(1, 2)) > 0
+    for decide in (is_strictly_convex, is_strictly_convex_chain, sign_table,
+                   strictly_convex_oracle, hull_oracle,
+                   lambda v: condition_value(v, ConditionId(1, 2))):
         with pytest.raises(TypeError, match="float"):
             decide(FLOAT_QUAD)
 

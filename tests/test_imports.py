@@ -1,0 +1,48 @@
+"""No module of the package imports a name it never uses.
+
+There is no linter in the toolchain, so this stands in for its unused-import
+rule: a name bound by ``import`` or ``from ... import`` must appear as a name
+somewhere else in the module, or be listed in its ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import polyconvex
+
+SOURCES = sorted(Path(polyconvex.__file__).parent.glob("*.py"))
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import os\nimport sys\nfrom .errors import A, B as C\n"
+              "__all__ = ['A']\nprint(sys.argv)\n")
+    assert unused_imports(source) == [(2, "os"), (4, "C")]

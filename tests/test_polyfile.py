@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from polyconvex.generator import make_minimality_witness, make_strictly_convex
 from polyconvex.fast_test import ConditionId
 from polyconvex.geometry import Point
-from polyconvex.polyfile import (MAX_EXPONENT, PolygonParseError, _quoted,
-                                 format_polygon, parse_polygon, parse_scalar,
-                                 read_polygon_file, write_polygon_file)
+from polyconvex.polyfile import (MAX_DIGITS, PolygonParseError, _quoted,
+                                 format_polygon, format_scalar, parse_polygon,
+                                 parse_scalar, read_polygon_file,
+                                 write_polygon_file)
 
 P = Point
 
@@ -76,20 +77,26 @@ def test_file_round_trip(tmp_path):
 
 def fraction_only(token):
     """The token grammar without the int() fast path: the exponent cap, then
-    Fraction alone decides.  The value and type parse_scalar must return, or
-    PolygonParseError with the same message."""
+    Fraction alone decides, then a value str() cannot write back is refused.
+    The value and type parse_scalar must return, or PolygonParseError with
+    the same message."""
     mark = max(token.rfind("e"), token.rfind("E"))
     try:
-        too_large = mark >= 0 and abs(int(token[mark + 1:])) > MAX_EXPONENT
+        too_large = mark >= 0 and abs(int(token[mark + 1:])) > MAX_DIGITS
     except ValueError:
         too_large = False
     if too_large:
         raise PolygonParseError(
-            f"exponent beyond +-{MAX_EXPONENT} in {_quoted(token)}")
+            f"exponent beyond +-{MAX_DIGITS} in {_quoted(token)}")
     try:
         value = Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise PolygonParseError(f"bad coordinate {_quoted(token)}") from None
+    try:
+        str(value.numerator), str(value.denominator)
+    except ValueError:  # Python's limit on the digits of an int string
+        raise PolygonParseError(
+            f"more than {MAX_DIGITS} digits in {_quoted(token)}") from None
     return value.numerator if value.denominator == 1 else value
 
 
@@ -122,6 +129,11 @@ tokens = st.one_of(
     st.text(alphabet="0123456789-+_/.eE \u0663\u00b2", max_size=8),
     st.from_regex(r"-?[0-9]{1,30}", fullmatch=True),
     st.text(max_size=6),
+    # Exponents near the cap, where the value's digit count crosses it.
+    st.builds("{}{}e{}{}".format, st.sampled_from(["", "-", "+"]),
+              st.from_regex(r"[0-9]{1,4}(\.[0-9]{1,4})?", fullmatch=True),
+              st.sampled_from(["", "-", "+"]),
+              st.integers(MAX_DIGITS - 8, MAX_DIGITS + 1)),
 )
 
 
@@ -129,6 +141,16 @@ tokens = st.one_of(
 @settings(max_examples=500)
 def test_parse_scalar_matches_fraction_only_path(token):
     assert outcome(parse_scalar, token) == outcome(fraction_only, token)
+
+
+@given(token=tokens)
+@settings(max_examples=500)
+def test_every_accepted_token_round_trips_through_format_scalar(token):
+    try:
+        value = parse_scalar(token)
+    except PolygonParseError:
+        return
+    assert parse_scalar(format_scalar(value)) == value
 
 
 @pytest.mark.parametrize("token", ["1e4301", "1E-1000000", "1.5e+4301"])
@@ -141,8 +163,19 @@ def test_huge_decimal_exponent_is_rejected_quickly(token):
 
 
 def test_exponent_at_the_cap_still_parses_exactly():
-    assert parse_scalar("1e4300") == 10 ** 4300
+    assert parse_scalar("1e4299") == 10 ** 4299
+    assert parse_scalar("-1e-4299") == Fraction(-1, 10 ** 4299)
     assert parse_scalar("2.5e-3") == Fraction(1, 400)
+
+
+@pytest.mark.parametrize("token", [
+    "1e4300", "1e-4300", "123.456e4299", "1" * 4000 + "." + "1" * 400,
+    "0." + "0" * 4299 + "1"],
+    ids=["1e4300", "1e-4300", "123.456e4299", "long-decimal", "tiny-decimal"])
+def test_value_beyond_the_digit_cap_is_rejected(token):
+    # format_scalar could not write any of these back.
+    with pytest.raises(PolygonParseError, match=f"more than {MAX_DIGITS} digits"):
+        parse_polygon(f"0 {token}\n")
 
 
 def test_bad_coordinate_message_quotes_a_bounded_prefix():
