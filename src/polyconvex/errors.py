@@ -5,10 +5,6 @@ class TooFewVertices(ValueError):
     """The operation needs more vertices than the polygon has."""
 
 
-class IndexOutOfRange(IndexError):
-    """Vertex index outside [0, n-1]."""
-
-
 class NotQuasiStrictInput(ValueError):
     """The generator needs a quasi-strict polygon with at least 3 vertices."""
 

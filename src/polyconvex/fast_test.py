@@ -19,14 +19,15 @@ and nonzero (b_2 = c_2 holds identically).  Both deciders live here; they are
 tested to agree on every input.
 
 One scan kernel, ``_scan``, computes every sign: the fail-fast and explain
-runs of ``is_strictly_convex``, ``sign_table`` and the chain decider all read
-it.  It slides a window over the coordinates translated to V[0], so step i
-takes two new coordinate differences and three 2x2 cross products
-(``a_i`` from the two edge vectors at V[i], ``b_i`` and ``c_i`` from the
-translated vertices), compares each product with zero inline, and never
-wraps an index with ``% n``.  A step counts as three determinant
-evaluations in ``geometry.delta_evaluations()``, so a full scan still counts
-exactly 3(n-3)+3.  ``condition_value`` stays on raw ``delta`` products, as a
+runs of ``is_strictly_convex`` and the chain decider all read it; the full
+sign table is ``is_strictly_convex(v, explain=True).signs``.  It slides a
+window over the coordinates translated to V[0], so step i takes two new
+coordinate differences and three 2x2 cross products (``a_i`` from the two
+edge vectors at V[i], ``b_i`` and ``c_i`` from the translated vertices),
+compares each product with zero inline, and never wraps an index with
+``% n``.  A step counts as three determinant evaluations in
+``geometry.delta_evaluations()``, so a full scan still counts exactly
+3(n-3)+3.  ``condition_value`` stays on raw ``delta`` products, as a
 check that does not share the kernel.
 
 Base cases: every polygon with n <= 2 is strictly convex, and a triangle is
@@ -42,7 +43,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import InvalidConditionId, TooFewVertices
+from .errors import InvalidConditionId
 from .geometry import Point, add_delta_evaluations, delta, require_exact
 
 
@@ -96,14 +97,6 @@ class ConvexityReport:
             }
         return {"verdict": self.verdict, "n": self.n,
                 "failed": failed, "signs": signs}
-
-
-def sign_table(vertices: Sequence[Point]) -> SignTable:
-    """The full table of decision signs: the kernel's explain-mode table."""
-    n = len(vertices)
-    if n < 4:
-        raise TooFewVertices(f"sign table needs n >= 4, got {n}")
-    return _scan(vertices, explain=True, collect_signs=True)[1]
 
 
 def condition_value(vertices: Sequence[Point], cond: ConditionId):
@@ -221,66 +214,39 @@ def _scan(vertices: Sequence[Point], explain: bool, collect_signs: bool):
 def is_strictly_convex_chain(vertices: Sequence[Point]) -> ConvexityReport:
     """Equality-chain variant of the decision; same verdict on every input.
 
-    Computes the full sign table and accepts iff all its entries are equal
-    and nonzero.  A reported failure is mapped back to a ConditionId that is
-    genuinely violated (confirmable via condition_value); see _chain_failure.
+    Computes the full sign table and accepts iff the chain a_2 .. a_{n-2},
+    b_2 .. b_{n-1}, c_2 .. c_{n-1} is constant and nonzero.  A broken chain
+    is reported as a ConditionId that is genuinely violated (confirmable via
+    condition_value).  With s = a_2, three loops compare each family with s;
+    two cases need no code:
+
+    - c_2 is never compared: c_2 and b_2 are the same determinant,
+      delta(V0, V1, V2), and b_2 = s was checked first.
+    - A break b_i != s with i > 2 always violates C2 at i-1, never C1 at
+      i-1: every a_j and every earlier b_j equals s by then, so
+      a_{i-1} * b_{i-1} = s^2 > 0.
     """
     n = len(vertices)
     if n <= 3:
         return _base_case(vertices, n)
-    table = sign_table(vertices)
-    chain = [("a", i) for i in range(2, n - 1)]
-    chain += [("b", i) for i in range(2, n)]
-    chain += [("c", i) for i in range(2, n)]
-    failed = None
-    prev = None
-    prev_sign = 0
-    for member in chain:
-        kind, i = member
-        s = getattr(table, kind)[i]
-        if s == 0:
-            failed = _zero_failure(kind, i)
-            break
-        if prev is not None and s != prev_sign:
-            failed = _chain_failure(prev, member, table)
-            break
-        prev, prev_sign = member, s
+    table = _scan(vertices, True, True)[1]
+    failed = _first_break(table, n)
     return ConvexityReport(failed is None, n, failed, table)
 
 
-def _zero_failure(kind: str, i: int) -> ConditionId:
-    # A zero sign maps to the first condition (scan order) whose product
-    # contains it; that product is 0, hence violated.
-    if kind == "a":
-        return ConditionId(1, i)
-    if kind == "b":
-        return ConditionId(1, 2) if i == 2 else ConditionId(2, i - 1)
-    return ConditionId(3, 2) if i == 2 else ConditionId(3, i - 1)
-
-
-def _chain_failure(prev, cur, table: SignTable) -> ConditionId:
-    """Map a broken adjacent equality (both signs nonzero) to a violated condition.
-
-    Pairs inside one family, and the a-to-b seam, have no single product
-    containing both signs, so the linking third sign picks which of the two
-    candidate conditions actually fails.
-    """
-    (k1, i1), (k2, i2) = prev, cur
-    if k1 == "c":
-        return ConditionId(3, i1)
-    if k1 == "a" and k2 == "a":
-        # a_i != a_{i+1}: one of (C2 i) = a_i*b_{i+1} and (C1 i+1) = a_{i+1}*b_{i+1} fails.
-        if table.a[i1] * table.b[i2] <= 0:
-            return ConditionId(2, i1)
-        return ConditionId(1, i2)
-    if k1 == "a" and k2 == "b":
-        # Seam a_{n-2} -> b_2: the verified a-chain gives a_2 = a_{n-2} != b_2.
-        return ConditionId(1, 2)
-    if k1 == "b" and k2 == "b":
-        # b_i != b_{i+1}: one of (C1 i) = a_i*b_i and (C2 i) = a_i*b_{i+1} fails.
-        if table.a[i1] * table.b[i1] <= 0:
-            return ConditionId(1, i1)
-        return ConditionId(2, i1)
-    # Seam b_{n-1} -> c_2 cannot break: c_2 and b_2 are the same determinant
-    # sign and the b-chain was verified constant just before.
-    raise AssertionError(f"unreachable chain break {prev} -> {cur}")
+def _first_break(table: SignTable, n: int) -> Optional[ConditionId]:
+    a, b, c = table.a, table.b, table.c
+    s = a[2]
+    for i in range(2, n - 1):
+        if a[i] == 0:
+            return ConditionId(1, i)
+        if a[i] != s:
+            # a_{i-1} = s != a_i: (C2 i-1) = s*b_i or (C1 i) = a_i*b_i fails.
+            return ConditionId(2, i - 1) if s * b[i] <= 0 else ConditionId(1, i)
+    for i in range(2, n):
+        if b[i] != s:
+            return ConditionId(1, 2) if i == 2 else ConditionId(2, i - 1)
+    for i in range(3, n):
+        if c[i] != s:
+            return ConditionId(3, i - 1)
+    return None

@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import (ExhaustedEpsilonBudget, InvalidConditionId,
                      NotQuasiStrictInput)
@@ -43,11 +43,6 @@ class Arc(Enum):
     NEG_C1 = "neg-c1"
     NEG_C2 = "neg-c2"
     NEG_C3 = "neg-c3"
-
-
-class ArcChoice(NamedTuple):
-    variant: Arc
-    epsilon: Fraction
 
 
 DEFAULT_SEED_TRIANGLE = (Point(0, 0), Point(1, 0), Point(0, 1))
@@ -106,11 +101,12 @@ def _keeps_quasi_strict(polygon: Sequence[Point], vertex: Point) -> bool:
     return True
 
 
-def arc_extension(polygon: Sequence[Point], variant: Arc):
-    """Extend by one vertex; also report the arc parameter and attempt count.
+def extend(polygon: Sequence[Point], variant: Arc) -> tuple:
+    """Append one vertex on the chosen arc, keeping the result quasi-strict.
 
-    Returns (new_polygon, ArcChoice, attempts).  Raises NotQuasiStrictInput
-    unless the input is a quasi-strict polygon with k >= 3 vertices.
+    The input vertices are preserved verbatim as a prefix.  Raises
+    NotQuasiStrictInput unless the input is a quasi-strict polygon with
+    k >= 3 vertices.
     """
     if len(polygon) < 3 or not is_quasi_strict(polygon):
         raise NotQuasiStrictInput(
@@ -118,8 +114,8 @@ def arc_extension(polygon: Sequence[Point], variant: Arc):
     return _arc_step(tuple(polygon), variant)
 
 
-def _arc_step(polygon: tuple, variant: Arc):
-    """arc_extension for a polygon already known to be quasi-strict, k >= 3.
+def _arc_step(polygon: tuple, variant: Arc) -> tuple:
+    """extend for a polygon already known to be quasi-strict, k >= 3.
 
     The frame map sends (0,0), (1,0), (0,1) to V0, V1, V[k-1]; the frame
     coordinates (x, y) of V[k-2] follow from Cramer's rule.  Quasi-strictness
@@ -135,22 +131,12 @@ def _arc_step(polygon: tuple, variant: Arc):
     frame = AffineMap(x1 - x0, xl - x0, y1 - y0, yl - y0, x0, y0)
     budget = k * (k - 1) + 1
     eps_source = _epsilons(variant, y)
-    for attempt in range(1, budget + 1):
-        eps = next(eps_source)
-        vertex = frame.apply(_arc_point(variant, eps, x, y))
+    for _ in range(budget):
+        vertex = frame.apply(_arc_point(variant, next(eps_source), x, y))
         if _keeps_quasi_strict(polygon, vertex):
-            return polygon + (vertex,), ArcChoice(variant, eps), attempt
+            return polygon + (vertex,)
     raise ExhaustedEpsilonBudget(
         f"no admissible arc point within {budget} attempts (k={k})")
-
-
-def extend(polygon: Sequence[Point], variant: Arc) -> tuple:
-    """Append one vertex on the chosen arc, keeping the result quasi-strict.
-
-    The input vertices are preserved verbatim as a prefix.
-    """
-    extended, _, _ = arc_extension(polygon, variant)
-    return extended
 
 
 def _require_strict_seed(seed_triangle: Sequence[Point]) -> tuple:
@@ -174,7 +160,7 @@ def make_strictly_convex(n: int, seed_triangle=DEFAULT_SEED_TRIANGLE) -> tuple:
         raise ValueError(f"n must be >= 3, got {n}")
     polygon = _require_strict_seed(seed_triangle)
     while len(polygon) < n:
-        polygon = _arc_step(polygon, Arc.ALL_HOLD)[0]
+        polygon = _arc_step(polygon, Arc.ALL_HOLD)
     return polygon
 
 
@@ -201,7 +187,7 @@ def make_minimality_witness(n: int, target,
     variant = _VARIANT_FOR_OMEGA[target.omega]
     while len(polygon) < n:
         step = variant if len(polygon) == negate_at else Arc.ALL_HOLD
-        polygon = _arc_step(polygon, step)[0]
+        polygon = _arc_step(polygon, step)
     _verify_witness_pattern(polygon, target)
     return polygon
 

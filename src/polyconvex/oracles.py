@@ -1,17 +1,19 @@
-"""Quadratic-time reference deciders for strict convexity.
+"""Brute-force reference deciders for strict convexity.
 
-Two independent routes: an all-edges sidedness sweep, and a convex-hull
-boundary-order comparison.  They share nothing with the linear-time test
-beyond the orientation determinant, so three-way agreement is meaningful
-evidence rather than an echo.  Like the linear-time deciders, both raise
-TypeError on a coordinate that is not an exact rational.
+Two independent routes: an all-edges sidedness sweep, O(n^2), and a
+convex-hull boundary-order comparison, O(n^3), since its no-three-collinear
+pre-check visits every vertex triple.  They share nothing with the
+linear-time test beyond the orientation determinant, so three-way agreement
+is meaningful evidence rather than an echo.  Like the linear-time deciders,
+both oracles and the hull helpers raise TypeError on a coordinate that is
+not an exact rational.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import IndexOutOfRange, TooFewVertices
+from .errors import TooFewVertices
 from .geometry import Point, delta, require_exact
 from .predicates import is_strict, strictly_one_side
 
@@ -26,7 +28,7 @@ def strictly_convex_oracle(vertices: Sequence[Point]) -> bool:
     for i in range(n):
         j = (i + 1) % n
         targets = [vertices[k] for k in range(n) if k != i and k != j]
-        if not strictly_one_side(targets, vertices[i], vertices[j]).holds:
+        if not strictly_one_side(targets, vertices[i], vertices[j]):
             return False
     return True
 
@@ -39,6 +41,7 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
     corners (extreme points) are emitted; degenerate inputs (fewer than three
     distinct points, or all collinear) come back as their sorted extremes.
     """
+    require_exact(points)
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
@@ -100,7 +103,8 @@ def matches_hull_order(vertices: Sequence[Point]) -> bool:
 
 def hull_oracle(vertices: Sequence[Point]) -> bool:
     """Strict convexity via the hull: no three vertices collinear, and the
-    sequence walks the hull boundary.
+    sequence walks the hull boundary.  O(n^3): the collinearity check visits
+    every vertex triple.
 
     For strict polygons the order condition is equivalent to the edges
     covering the hull boundary exactly, since no vertex can then sit inside a
@@ -111,11 +115,3 @@ def hull_oracle(vertices: Sequence[Point]) -> bool:
         raise TooFewVertices(f"oracle needs n >= 3, got {n}")
     require_exact(vertices)
     return is_strict(vertices) and matches_hull_order(vertices)
-
-
-def remove_vertex(vertices: Sequence[Point], i: int) -> tuple:
-    """The polygon with vertex i deleted, order preserved."""
-    n = len(vertices)
-    if not 0 <= i < n:
-        raise IndexOutOfRange(f"vertex index {i} out of range for an {n}-gon")
-    return tuple(vertices[:i]) + tuple(vertices[i + 1:])

@@ -2,8 +2,9 @@
 
 One vertex per line: two whitespace-separated coordinates.  A coordinate is
 an integer ("3"), a fraction ("3/4") or a decimal ("0.25"); decimals convert
-exactly, so "0.1" is one tenth, never a binary float.  A decimal exponent
-beyond +-MAX_DIGITS, or a value whose numerator or denominator has more than
+exactly, so "0.1" is one tenth, never a binary float.  A run of more than
+MAX_DIGITS digits (leading zeros count), a decimal exponent beyond
++-MAX_DIGITS, or a value whose numerator or denominator has more than
 MAX_DIGITS digits, is a PolygonParseError.  Blank lines and lines
 starting with '#' are ignored.  Files are UTF-8 text; other bytes are a
 PolygonParseError.  Writing a polygon and parsing it back reproduces it
@@ -12,6 +13,7 @@ exactly.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -27,13 +29,16 @@ class PolygonParseError(ValueError):
         super().__init__(message)
 
 
-# Python's default limit on the digits of an int string.  Integer tokens
-# obey it already, and format_scalar cannot write a numerator or denominator
-# longer than this, so no parsed value may have one.  It also bounds a decimal
-# exponent before Fraction builds 10**e in full, which for a nine-byte token
-# could cost seconds.
+# Python's default limit on the digits of an int string.  format_scalar
+# cannot write a numerator or denominator longer than this, so no parsed value
+# may have one.  It also bounds a decimal exponent before Fraction builds 10**e
+# in full, which for a nine-byte token could cost seconds.
 MAX_DIGITS = 4300
 _TOO_MANY_DIGITS = 10 ** MAX_DIGITS
+
+# A group of digits as int() reads it; underscores between digits do not
+# count toward the int-string limit.
+_DIGIT_RUN = re.compile(r"[\d_]+")
 
 # Longest token prefix quoted in an error message.
 _QUOTE_LIMIT = 40
@@ -56,10 +61,18 @@ def _exponent_too_large(token: str) -> bool:
 
 
 def parse_scalar(token: str, line_number: int | None = None):
+    # int() and Fraction refuse a run of more than MAX_DIGITS digits only under
+    # Python's default int-string limit, which PYTHONINTMAXSTRDIGITS or Python
+    # 3.10.0-3.10.6 lifts, so the check is made here.  A shorter token cannot
+    # hold such a run: the hot path pays one length test.
+    if len(token) > MAX_DIGITS and any(len(run) - run.count("_") > MAX_DIGITS
+                                       for run in _DIGIT_RUN.findall(token)):
+        raise PolygonParseError(f"bad coordinate {_quoted(token)}",
+                                line_number)
     # Plain integers skip the Fraction regex.  The guard keeps "p/q" and
     # decimal tokens off the exception path.  A token the guard passes but
-    # int() rejects (a superscript digit, or more digits than int() will
-    # convert) falls through, so Fraction alone decides what is accepted.
+    # int() rejects (a superscript digit) falls through, so Fraction alone
+    # decides what is accepted.
     if token.isdigit() or (token[:1] == "-" and token[1:].isdigit()):
         try:
             return int(token)

@@ -7,14 +7,9 @@ orientation determinant itself.  Oracle-tier code, so clarity beats speed.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Sequence
 
 from .geometry import Point, delta, sign_of
-
-
-class SidednessResult(NamedTuple):
-    holds: bool
-    witness_direction: Optional[Point]
 
 
 def is_strict(vertices: Sequence[Point]) -> bool:
@@ -53,24 +48,19 @@ def is_quasi_strict(vertices: Sequence[Point]) -> bool:
 
 
 def strictly_one_side(targets: Sequence[Point], seg_start: Point,
-                      seg_end: Point) -> SidednessResult:
+                      seg_end: Point) -> bool:
     """Do all targets lie strictly on one common side of the segment's line?
 
-    Holds iff the segment is non-degenerate and every orientation determinant
+    True iff the segment is non-degenerate and every orientation determinant
     delta(t, seg_start, seg_end) carries one shared nonzero sign; an empty
-    target list holds vacuously.  When the result holds, the witness direction
-    w is a normal of the supporting line: w.(seg_end - seg_start) = 0 and
-    w.(t - seg_start) > 0 for every target t, both exactly.
+    target list holds vacuously.
     """
     if seg_start == seg_end:
-        return SidednessResult(False, None)
+        return False
     shared = 0
     for t in targets:
         s = sign_of(delta(t, seg_start, seg_end))
         if s == 0 or (shared != 0 and s != shared):
-            return SidednessResult(False, None)
+            return False
         shared = s
-    eps = shared if shared != 0 else 1
-    sx, sy = seg_start
-    ex, ey = seg_end
-    return SidednessResult(True, Point(-eps * (ey - sy), eps * (ex - sx)))
+    return True

@@ -20,7 +20,7 @@ from polyconvex.fast_test import (ConditionId, condition_value,
 from polyconvex.generator import (make_minimality_witness, make_strictly_convex,
                                   parabola_polygon, random_polygon)
 from polyconvex.geometry import Point, delta, delta_evaluations
-from polyconvex.oracles import (hull_oracle, matches_hull_order, remove_vertex,
+from polyconvex.oracles import (hull_oracle, matches_hull_order,
                                 strictly_convex_oracle)
 from polyconvex.predicates import is_quasi_strict, is_strict
 
@@ -180,7 +180,7 @@ def test_criterion_5_hereditariness():
             ok = (is_strictly_convex(poly, collect_signs=False).verdict
                   and strictly_convex_oracle(poly) and hull_oracle(poly))
             for i in range(n):
-                sub = remove_vertex(poly, i)
+                sub = poly[:i] + poly[i + 1:]
                 ok = ok and is_strictly_convex(sub, collect_signs=False).verdict
                 ok = ok and strictly_convex_oracle(sub) and hull_oracle(sub)
             if checked % 32 == 0:

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyconvex.errors import InvalidConditionId, TooFewVertices
+from polyconvex.errors import InvalidConditionId
 from polyconvex.fast_test import (ConditionId, ConvexityReport, SignTable,
                                   condition_value, is_strictly_convex,
-                                  is_strictly_convex_chain, sign_table)
+                                  is_strictly_convex_chain)
 from polyconvex.generator import (make_strictly_convex, parabola_polygon,
                                   random_polygon)
 from polyconvex.geometry import (AffineMap, Point, delta, delta_evaluations,
                                  sign_of)
-from polyconvex.oracles import (hull_oracle, remove_vertex,
+from polyconvex.oracles import (convex_hull, hull_oracle, matches_hull_order,
                                 strictly_convex_oracle)
 
 P = Point
@@ -60,25 +60,20 @@ def test_proper_triangle_accepted():
 
 
 def test_sign_table_unit_square():
-    t = sign_table(SQUARE)
+    t = is_strictly_convex(SQUARE, explain=True).signs
     assert t.a == {2: 1}
     assert t.b == {2: 1, 3: 1}
     assert t.c == {2: 1, 3: 1}
 
 
 def test_sign_table_reversed_square_all_negative():
-    t = sign_table(tuple(reversed(SQUARE)))
+    t = is_strictly_convex(tuple(reversed(SQUARE)), explain=True).signs
     assert set(t.a.values()) == set(t.b.values()) == set(t.c.values()) == {-1}
 
 
 def test_sign_table_swapped_square_c_signs():
-    t = sign_table(SWAPPED_SQUARE)
+    t = is_strictly_convex(SWAPPED_SQUARE, explain=True).signs
     assert t.c[2] == -1 and t.c[3] == 1
-
-
-def test_sign_table_needs_four_vertices():
-    with pytest.raises(TooFewVertices):
-        sign_table((P(0, 0), P(1, 0), P(0, 1)))
 
 
 def test_chain_square_all_positive():
@@ -99,6 +94,33 @@ def test_chain_mirrored_square_all_negative():
 
 def test_chain_rejects_swapped_square():
     assert not is_strictly_convex_chain(SWAPPED_SQUARE).verdict
+
+
+# One polygon per way the chain can break, with the condition the chain
+# decider reported for it when it still walked one flat list of signs.
+CHAIN_BREAKS = {
+    "a2-zero": ((P(0, 0), P(0, 1), P(1, 1), P(2, 1)), ConditionId(1, 2)),
+    "later-a-zero": ((P(0, 0), P(0, 1), P(0, 2), P(1, 1), P(1, 0), P(1, 2)),
+                     ConditionId(1, 4)),
+    "a-break-to-C2": ((P(0, 0), P(0, 1), P(0, 2), P(2, 1), P(1, 1), P(1, 0)),
+                      ConditionId(2, 3)),
+    "a-break-to-C1": ((P(0, 0), P(0, 1), P(0, 2), P(1, 1), P(1, 0), P(2, 0)),
+                      ConditionId(1, 4)),
+    "b2-zero": ((P(0, 0), P(0, 1), P(0, 2), P(1, 0)), ConditionId(1, 2)),
+    "b2-not-a2": ((P(0, 0), P(0, 1), P(1, 0), P(0, 2)), ConditionId(1, 2)),
+    "b-break": ((P(0, 0), P(0, 1), P(1, 2), P(2, 1), P(1, 0), P(0, 2)),
+                ConditionId(2, 4)),
+    "c-break": ((P(0, 1), P(0, 0), P(1, 0), P(2, 1), P(1, 2), P(0, 2)),
+                ConditionId(3, 4)),
+}
+
+
+@pytest.mark.parametrize("name", CHAIN_BREAKS)
+def test_chain_failure_is_pinned_for_every_break(name):
+    poly, failed = CHAIN_BREAKS[name]
+    report = is_strictly_convex_chain(poly)
+    assert not report.verdict and report.failed == failed
+    assert condition_value(poly, failed) <= 0
 
 
 @given(poly=small_polygons)
@@ -184,7 +206,7 @@ def test_hereditary_under_vertex_deletion(n):
     poly = make_strictly_convex(n)
     assert is_strictly_convex(poly).verdict
     for i in range(n):
-        assert is_strictly_convex(remove_vertex(poly, i)).verdict
+        assert is_strictly_convex(poly[:i] + poly[i + 1:]).verdict
 
 
 @pytest.mark.parametrize("n", [4, 10, 100])
@@ -208,7 +230,7 @@ def test_fail_fast_table_stops_at_failure():
     poly = (P(0, 0), P(4, 0), P(1, 1), P(4, 4), P(2, 5), P(0, 4))
     report = is_strictly_convex(poly)
     assert not report.verdict
-    full = sign_table(poly)
+    full = is_strictly_convex(poly, explain=True).signs
     assert len(report.signs.b) < len(full.b)
 
 
@@ -257,8 +279,10 @@ def test_float_coordinates_are_rejected():
     assert is_strictly_convex(exact).verdict
     assert strictly_convex_oracle(exact)
     assert condition_value(exact, ConditionId(1, 2)) > 0
-    for decide in (is_strictly_convex, is_strictly_convex_chain, sign_table,
-                   strictly_convex_oracle, hull_oracle,
+    assert matches_hull_order(exact) and len(convex_hull(exact)) == 4
+    for decide in (is_strictly_convex, is_strictly_convex_chain,
+                   strictly_convex_oracle, hull_oracle, convex_hull,
+                   matches_hull_order,
                    lambda v: condition_value(v, ConditionId(1, 2))):
         with pytest.raises(TypeError, match="float"):
             decide(FLOAT_QUAD)
@@ -361,12 +385,3 @@ def test_kernel_matches_reference_loop_on_random_polygons():
     rng = random.Random(20061)
     for poly in _random_polygons(rng, 600):
         assert_kernel_matches_reference(poly)
-
-
-def test_sign_table_is_the_explain_table_with_the_full_count():
-    for poly in (SQUARE, SWAPPED_SQUARE, parabola_polygon(9),
-                 random_polygon(8, 3, rng_seed=5)):
-        n = len(poly)
-        table, deltas = counted(sign_table, poly)
-        assert table == is_strictly_convex(poly, explain=True).signs
-        assert deltas == 3 * (n - 3) + 3

@@ -1,5 +1,4 @@
 import hashlib
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -8,8 +7,8 @@ from hypothesis import strategies as st
 from polyconvex.errors import InvalidConditionId, NotQuasiStrictInput
 from polyconvex.fast_test import (ConditionId, condition_value,
                                   is_strictly_convex)
-from polyconvex.generator import (Arc, DEFAULT_SEED_TRIANGLE, arc_extension,
-                                  extend, make_minimality_witness,
+from polyconvex.generator import (Arc, DEFAULT_SEED_TRIANGLE, extend,
+                                  make_minimality_witness,
                                   make_strictly_convex, parabola_polygon,
                                   random_polygon)
 from polyconvex.geometry import Point
@@ -69,7 +68,7 @@ def test_extension_rejects_larger_non_quasi_strict_input(polygon):
     with pytest.raises(NotQuasiStrictInput):
         extend(polygon, Arc.ALL_HOLD)
     with pytest.raises(NotQuasiStrictInput):
-        arc_extension(polygon, Arc.NEG_C1)
+        extend(polygon, Arc.NEG_C1)
 
 
 quasi_strict_polygons = st.lists(
@@ -130,19 +129,6 @@ def test_extend_all_hold_preserves_passing_verdict():
     for _ in range(6):
         poly = extend(poly, Arc.ALL_HOLD)
         assert is_strictly_convex(poly).verdict
-
-
-def test_epsilon_search_stays_within_budget():
-    poly = TRIANGLE
-    for variant in (Arc.ALL_HOLD, Arc.NEG_C1, Arc.ALL_HOLD, Arc.NEG_C2,
-                    Arc.ALL_HOLD, Arc.NEG_C3):
-        k = len(poly)
-        poly, choice, attempts = arc_extension(poly, variant)
-        assert attempts <= k * (k - 1) + 1
-        assert choice.epsilon > 0
-        if variant is not Arc.NEG_C1:
-            # bounded arcs: epsilon below 1/(10*(1+|y|)) by construction
-            assert choice.epsilon < Fraction(1, 10)
 
 
 def test_make_strictly_convex_n3_returns_seed():

@@ -1,8 +1,11 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and the package
+exports only names it has.
 
 There is no linter in the toolchain, so this stands in for its unused-import
 rule: a name bound by ``import`` or ``from ... import`` must appear as a name
-somewhere else in the module, or be listed in its ``__all__``.
+somewhere else in the module, or be listed in its ``__all__``.  An
+``__all__`` entry left behind after its import is deleted passes that rule,
+so the export check resolves every entry.
 """
 
 import ast
@@ -46,3 +49,12 @@ def test_the_check_sees_an_unused_import():
               "import os\nimport sys\nfrom .errors import A, B as C\n"
               "__all__ = ['A']\nprint(sys.argv)\n")
     assert unused_imports(source) == [(2, "os"), (4, "C")]
+
+
+def test_every_exported_name_resolves_once():
+    exported = polyconvex.__all__
+    assert len(exported) == len(set(exported))
+    assert [name for name in exported if not hasattr(polyconvex, name)] == []
+    namespace = {}
+    exec("from polyconvex import *", namespace)
+    assert set(exported) <= set(namespace)

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyconvex
 from polyconvex.generator import make_minimality_witness, make_strictly_convex
 from polyconvex.fast_test import ConditionId
 from polyconvex.geometry import Point
@@ -183,6 +188,37 @@ def test_bad_coordinate_message_quotes_a_bounded_prefix():
         parse_scalar("1" * 4301)
     message = str(err.value)
     assert len(message) < 100 and "4301 characters" in message
+
+
+# Tokens holding a run of more than MAX_DIGITS digits.  int() and Fraction
+# refuse each of them only under Python's default int-string limit.
+LONG_RUN_TOKENS = ["7" * 5000, "0" * 5000 + "1", "+" + "7" * 5000,
+                   "-" + "7" * 5000, "7" * 5000 + "/3", "1_" * 4300 + "1",
+                   "1e" + "0" * 4301 + "5"]
+
+PARSE_EACH_TOKEN = """
+import sys
+from polyconvex.polyfile import PolygonParseError, parse_scalar
+for token in sys.stdin.read().split():
+    try:
+        print("accepted", parse_scalar(token) == 0)
+    except PolygonParseError as exc:
+        print("refused", exc)
+"""
+
+
+def parse_under_int_string_limit(limit, tokens):
+    src = str(Path(polyconvex.__file__).parent.parent)
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS=limit, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", PARSE_EACH_TOKEN],
+                          input="\n".join(tokens), env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_long_digit_runs_are_refused_whatever_the_int_string_limit():
+    unlimited = parse_under_int_string_limit("0", LONG_RUN_TOKENS)
+    assert unlimited == parse_under_int_string_limit("4300", LONG_RUN_TOKENS)
+    assert unlimited.count("refused bad coordinate") == len(LONG_RUN_TOKENS)
 
 
 def test_comment_lines_with_leading_space_or_no_gap():

@@ -50,27 +50,23 @@ def test_quasi_strict_weaker_than_strict():
 
 
 def test_strictly_one_side_both_above():
-    res = strictly_one_side([P(0, 1), P(1, 1)], P(0, 0), P(1, 0))
-    assert res.holds
-    assert res.witness_direction == P(0, 1)
+    assert strictly_one_side([P(0, 1), P(1, 1)], P(0, 0), P(1, 0))
 
 
 def test_strictly_one_side_opposite_signs():
-    res = strictly_one_side([P(0, 1), P(0, -1)], P(0, 0), P(1, 0))
-    assert not res.holds and res.witness_direction is None
+    assert not strictly_one_side([P(0, 1), P(0, -1)], P(0, 0), P(1, 0))
 
 
 def test_strictly_one_side_collinear_target():
-    assert not strictly_one_side([P(2, 0)], P(0, 0), P(1, 0)).holds
+    assert not strictly_one_side([P(2, 0)], P(0, 0), P(1, 0))
 
 
 def test_strictly_one_side_degenerate_segment():
-    assert not strictly_one_side([P(0, 1)], P(1, 1), P(1, 1)).holds
+    assert not strictly_one_side([P(0, 1)], P(1, 1), P(1, 1))
 
 
 def test_strictly_one_side_empty_targets():
-    res = strictly_one_side([], P(0, 0), P(1, 0))
-    assert res.holds and res.witness_direction is not None
+    assert strictly_one_side([], P(0, 0), P(1, 0))
 
 
 @given(targets=point_lists, start=points, end=points, ma=scalars, mb=scalars,
@@ -83,18 +79,7 @@ def test_strictly_one_side_affine_invariant(targets, start, end,
         return
     mapped = strictly_one_side([m.apply(t) for t in targets],
                                m.apply(start), m.apply(end))
-    assert mapped.holds == strictly_one_side(targets, start, end).holds
-
-
-@given(targets=st.lists(points, min_size=1, max_size=7), start=points, end=points)
-def test_witness_certifies_supporting_line(targets, start, end):
-    res = strictly_one_side(targets, start, end)
-    if not res.holds:
-        return
-    w = res.witness_direction
-    assert w.x * (end.x - start.x) + w.y * (end.y - start.y) == 0
-    for t in targets:
-        assert w.x * (t.x - start.x) + w.y * (t.y - start.y) > 0
+    assert mapped == strictly_one_side(targets, start, end)
 
 
 def test_generated_quasi_strict_polygons_are_ordinary():
