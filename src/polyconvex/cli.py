@@ -115,9 +115,8 @@ def _print_text_report(report, explain: bool, oracle) -> None:
     else:
         print("not-strictly-convex")
     if explain and report.signs is not None:
-        for kind in ("a", "b", "c"):
-            row = getattr(report.signs, kind)
-            cells = " ".join(f"{i}={row[i]:+d}" for i in sorted(row))
+        for kind, row in zip("abc", report.signs):
+            cells = " ".join(f"{i}={s:+d}" for i, s in enumerate(row, 2))
             print(f"signs {kind}: {cells}")
     if oracle is not None:
         if "skipped" in oracle:

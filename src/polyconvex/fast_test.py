@@ -20,14 +20,14 @@ tested to agree on every input.
 
 One scan kernel, ``_scan``, computes every sign: the fail-fast and explain
 runs of ``is_strictly_convex`` and the chain decider all read it; the full
-sign table is ``is_strictly_convex(v, explain=True).signs``.  It slides a
-window over the coordinates translated to V[0], so step i takes two new
-coordinate differences and three 2x2 cross products (``a_i`` from the two
-edge vectors at V[i], ``b_i`` and ``c_i`` from the translated vertices),
-compares each product with zero inline, and never wraps an index with
-``% n``.  A step counts as three determinant evaluations in
-``geometry.delta_evaluations()``, so a full scan still counts exactly
-3(n-3)+3.  ``condition_value`` stays on raw ``delta`` products, as a
+sign table is ``is_strictly_convex(v, explain=True).signs``, three lists
+that start at i = 2.  It slides a window over the coordinates translated to
+V[0], so step i takes two new coordinate differences and three 2x2 cross
+products (``a_i`` from the two edge vectors at V[i], ``b_i`` and ``c_i``
+from the translated vertices), compares each product with zero inline, and
+never wraps an index with ``% n``.  A step counts as three determinant
+evaluations in ``geometry.delta_evaluations()``, so a full scan still counts
+exactly 3(n-3)+3.  ``condition_value`` stays on raw ``delta`` products, as a
 check that does not share the kernel.
 
 Base cases: every polygon with n <= 2 is strictly convex, and a triangle is
@@ -40,7 +40,7 @@ Every decider raises TypeError on a coordinate that is not an exact rational
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InvalidConditionId
@@ -54,17 +54,18 @@ class ConditionId(NamedTuple):
     i: int
 
 
-@dataclass
-class SignTable:
-    """Decision signs, keyed by vertex index.
+class SignTable(NamedTuple):
+    """Decision signs, three lists whose first entry is i = 2.
 
-    Ranges for an n-gon: a over [2, n-2], b and c over [2, n-1].  These are
-    all and only the signs the decision consumes.
+    For an n-gon a full scan fills a with a_2 .. a_{n-2} (n-3 entries) and
+    b and c with b_2 .. b_{n-1} and c_2 .. c_{n-1} (n-2 entries each): all
+    and only the signs the decision consumes.  A fail-fast scan leaves
+    prefixes of these.
     """
 
-    a: dict = field(default_factory=dict)
-    b: dict = field(default_factory=dict)
-    c: dict = field(default_factory=dict)
+    a: list
+    b: list
+    c: list
 
 
 @dataclass
@@ -76,7 +77,8 @@ class ConvexityReport:
     and also for a rejected triangle: no ConditionId exists at n = 3, where
     the verdict is plain non-collinearity.  ``signs`` is None for n < 4 or
     when sign collection was turned off; otherwise it holds what the scan
-    computed (everything, unless a fail-fast run stopped early).
+    computed (everything, unless a fail-fast run stopped early), as lists
+    whose first entry is i = 2.
     """
 
     verdict: bool
@@ -88,13 +90,7 @@ class ConvexityReport:
         failed = None if self.failed is None else {
             "omega": self.failed.omega, "i": self.failed.i,
         }
-        signs = None
-        if self.signs is not None:
-            signs = {
-                "a": [self.signs.a[i] for i in sorted(self.signs.a)],
-                "b": [self.signs.b[i] for i in sorted(self.signs.b)],
-                "c": [self.signs.c[i] for i in sorted(self.signs.c)],
-            }
+        signs = None if self.signs is None else self.signs._asdict()
         return {"verdict": self.verdict, "n": self.n,
                 "failed": failed, "signs": signs}
 
@@ -136,8 +132,8 @@ def is_strictly_convex(vertices: Sequence[Point], *, explain: bool = False,
     run evaluates exactly 3(n-3)+3 determinants for n >= 4.  By default the
     scan stops at the first violated condition; ``explain=True`` keeps going
     and fills the whole sign table.  ``collect_signs=False`` skips the table
-    entirely, leaving nothing but the constant-size report (the mode the
-    benchmark uses).
+    entirely, leaving nothing but the constant-size report (the mode plain
+    ``check`` uses).
     """
     n = len(vertices)
     if n <= 3:
@@ -173,7 +169,7 @@ def _scan(vertices: Sequence[Point], explain: bool, collect_signs: bool):
     cy -= y0
     px, py = ux, uy
     ex, ey = cx - px, cy - py
-    table = SignTable() if collect_signs else None
+    table = SignTable([], [], []) if collect_signs else None
     failed = None
     prev_a = prev_b = prev_c = 0
     following = itertools.chain(itertools.islice(vertices, 3, None),
@@ -189,9 +185,9 @@ def _scan(vertices: Sequence[Point], explain: bool, collect_signs: bool):
         b_i = 1 if b > 0 else -1 if b < 0 else 0
         c_i = 1 if c > 0 else -1 if c < 0 else 0
         if table is not None:
-            table.a[i] = a_i
-            table.b[i] = b_i
-            table.c[i] = c_i
+            table.a.append(a_i)
+            table.b.append(b_i)
+            table.c.append(c_i)
         if i > 2 and failed is None:
             j = i - 1
             if prev_a * prev_b <= 0:
@@ -205,9 +201,9 @@ def _scan(vertices: Sequence[Point], explain: bool, collect_signs: bool):
         prev_a, prev_b, prev_c = a_i, b_i, c_i
         px, py, cx, cy, ex, ey = cx, cy, qx, qy, fx, fy
     add_delta_evaluations(3 * (i - 1))
-    if table is not None:
+    if table is not None and len(table.a) == n - 2:
         # a_{n-1} wraps around to V0 and enters no condition.
-        table.a.pop(n - 1, None)
+        table.a.pop()
     return failed, table
 
 
@@ -230,23 +226,23 @@ def is_strictly_convex_chain(vertices: Sequence[Point]) -> ConvexityReport:
     if n <= 3:
         return _base_case(vertices, n)
     table = _scan(vertices, True, True)[1]
-    failed = _first_break(table, n)
+    failed = _first_break(table)
     return ConvexityReport(failed is None, n, failed, table)
 
 
-def _first_break(table: SignTable, n: int) -> Optional[ConditionId]:
-    a, b, c = table.a, table.b, table.c
-    s = a[2]
-    for i in range(2, n - 1):
-        if a[i] == 0:
+def _first_break(table: SignTable) -> Optional[ConditionId]:
+    a, b, c = table
+    s = a[0]
+    for i, (a_i, b_i) in enumerate(zip(a, b), 2):
+        if a_i == 0:
             return ConditionId(1, i)
-        if a[i] != s:
+        if a_i != s:
             # a_{i-1} = s != a_i: (C2 i-1) = s*b_i or (C1 i) = a_i*b_i fails.
-            return ConditionId(2, i - 1) if s * b[i] <= 0 else ConditionId(1, i)
-    for i in range(2, n):
-        if b[i] != s:
+            return ConditionId(2, i - 1) if s * b_i <= 0 else ConditionId(1, i)
+    for i, b_i in enumerate(b, 2):
+        if b_i != s:
             return ConditionId(1, 2) if i == 2 else ConditionId(2, i - 1)
-    for i in range(3, n):
-        if c[i] != s:
+    for i, c_i in enumerate(itertools.islice(c, 1, None), 3):
+        if c_i != s:
             return ConditionId(3, i - 1)
     return None

@@ -102,9 +102,10 @@ def matches_hull_order(vertices: Sequence[Point]) -> bool:
 
 
 def hull_oracle(vertices: Sequence[Point]) -> bool:
-    """Strict convexity via the hull: no three vertices collinear, and the
-    sequence walks the hull boundary.  O(n^3): the collinearity check visits
-    every vertex triple.
+    """Strict convexity via the hull: the sequence walks the hull boundary,
+    and no three vertices are collinear.  O(n^3) in the worst case: the
+    collinearity check visits every vertex triple.  The cheaper order check
+    runs first, and most non-convex inputs fail it, so they skip the triples.
 
     For strict polygons the order condition is equivalent to the edges
     covering the hull boundary exactly, since no vertex can then sit inside a
@@ -114,4 +115,4 @@ def hull_oracle(vertices: Sequence[Point]) -> bool:
     if n < 3:
         raise TooFewVertices(f"oracle needs n >= 3, got {n}")
     require_exact(vertices)
-    return is_strict(vertices) and matches_hull_order(vertices)
+    return matches_hull_order(vertices) and is_strict(vertices)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -6,7 +7,7 @@ import pytest
 from polyconvex import cli
 from polyconvex.cli import main
 from polyconvex.fast_test import ConditionId
-from polyconvex.generator import make_minimality_witness
+from polyconvex.generator import make_minimality_witness, parabola_polygon
 from polyconvex.geometry import Point
 from polyconvex.polyfile import write_polygon_file
 
@@ -241,3 +242,44 @@ def test_check_output_is_pinned(fixture, flags, request, capsys):
     path = request.getfixturevalue(fixture)
     code = main(["check", path, *flags])
     assert (code, capsys.readouterr().out) == CHECK_OUTPUTS[fixture, flags]
+
+
+def lifted_parabola(n, k):
+    """parabola_polygon(n) with vertex k raised above the chord of its
+    neighbours, so C1 first fails at i = k."""
+    poly = list(parabola_polygon(n))
+    poly[k] = Point(poly[k].x, poly[k].y + 2)
+    return tuple(poly)
+
+
+# Exit code and SHA-256 of the exact stdout of checks on 1000-gons.  The
+# last-step input fails at i = n-2, so its fail-fast --json table ends on
+# the scan's final step; the mid-scan input gives a partial --json table.
+LARGE_INPUTS = {
+    "convex": parabola_polygon(1000),
+    "last-step": lifted_parabola(1000, 998),
+    "mid-scan": lifted_parabola(1000, 500),
+}
+LARGE_CHECK_DIGESTS = {
+    ("convex", "--explain"): (
+        0, "4ed50269c022bc615e8e091c65ce792986058e4be942d45988218f17dfbba075"),
+    ("convex", "--json"): (
+        0, "5481220b964f5daf8ff085c1c023897996250a4a78b35af9f90f9f39f1217260"),
+    ("last-step", "--explain"): (
+        1, "b3ab78df2445f5e118495ffa092fe87037f69afac3ae038c49fdb63c259a6932"),
+    ("last-step", "--json"): (
+        1, "d7ac67273f71314183ba8c1a5bd74716485f55b3f71ed8ca3f56cc0f94c513b4"),
+    ("mid-scan", "--explain"): (
+        1, "bffa3174918823b109e9ddee38b8585a84e4e1a142de91eadafb9904fe814487"),
+    ("mid-scan", "--json"): (
+        1, "47a3640bd2f01d3c8b7267e8a1b126ae3892d6b431d9515d2247fb1c0836ceea"),
+}
+
+
+@pytest.mark.parametrize("name, flag", list(LARGE_CHECK_DIGESTS))
+def test_large_check_output_is_pinned(name, flag, tmp_path, capsys):
+    path = tmp_path / f"{name}.txt"
+    write_polygon_file(path, LARGE_INPUTS[name])
+    code = main(["check", str(path), flag])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == LARGE_CHECK_DIGESTS[name, flag]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -61,34 +62,32 @@ def test_proper_triangle_accepted():
 
 def test_sign_table_unit_square():
     t = is_strictly_convex(SQUARE, explain=True).signs
-    assert t.a == {2: 1}
-    assert t.b == {2: 1, 3: 1}
-    assert t.c == {2: 1, 3: 1}
+    assert t.a == [1]
+    assert t.b == [1, 1]
+    assert t.c == [1, 1]
 
 
 def test_sign_table_reversed_square_all_negative():
     t = is_strictly_convex(tuple(reversed(SQUARE)), explain=True).signs
-    assert set(t.a.values()) == set(t.b.values()) == set(t.c.values()) == {-1}
+    assert set(t.a) == set(t.b) == set(t.c) == {-1}
 
 
 def test_sign_table_swapped_square_c_signs():
     t = is_strictly_convex(SWAPPED_SQUARE, explain=True).signs
-    assert t.c[2] == -1 and t.c[3] == 1
+    assert t.c[0] == -1 and t.c[1] == 1  # c_2 and c_3
 
 
 def test_chain_square_all_positive():
     report = is_strictly_convex_chain(SQUARE)
     assert report.verdict
-    values = (list(report.signs.a.values()) + list(report.signs.b.values())
-              + list(report.signs.c.values()))
+    values = report.signs.a + report.signs.b + report.signs.c
     assert values == [1] * 5
 
 
 def test_chain_mirrored_square_all_negative():
     report = is_strictly_convex_chain(MIRRORED_SQUARE)
     assert report.verdict
-    values = (list(report.signs.a.values()) + list(report.signs.b.values())
-              + list(report.signs.c.values()))
+    values = report.signs.a + report.signs.b + report.signs.c
     assert values == [-1] * 5
 
 
@@ -221,8 +220,9 @@ def test_explain_mode_fills_table_past_failure():
     report = is_strictly_convex(SWAPPED_SQUARE, explain=True)
     assert not report.verdict
     assert report.failed == ConditionId(2, 2)
-    assert set(report.signs.a) == {2}
-    assert set(report.signs.b) == set(report.signs.c) == {2, 3}
+    # a_2 only; b_2, b_3 and c_2, c_3
+    assert len(report.signs.a) == 1
+    assert len(report.signs.b) == len(report.signs.c) == 2
 
 
 def test_fail_fast_table_stops_at_failure():
@@ -232,6 +232,19 @@ def test_fail_fast_table_stops_at_failure():
     assert not report.verdict
     full = is_strictly_convex(poly, explain=True).signs
     assert len(report.signs.b) < len(full.b)
+
+
+def test_sign_table_costs_at_most_32_bytes_per_vertex():
+    # Three lists of cached small ints take 24 bytes per vertex; the JSON
+    # payload shares them rather than copying.
+    n = 10**5
+    poly = parabola_polygon(n)
+    tracemalloc.start()
+    payload = is_strictly_convex(poly, explain=True).to_json_dict()
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert payload["verdict"] and len(payload["signs"]["a"]) == n - 3
+    assert peak < 32 * n, peak
 
 
 def test_collect_signs_off_returns_no_table():
@@ -303,7 +316,7 @@ def reference_scan(vertices, explain=False, collect_signs=True):
     """The scan as first written, for n >= 4: three delta() calls and three
     sign_of() calls per step, with the wrap-around taken by % n."""
     n = len(vertices)
-    table = SignTable() if collect_signs else None
+    table = SignTable([], [], []) if collect_signs else None
     v0, v1 = vertices[0], vertices[1]
     failed = None
     prev_a = prev_b = prev_c = 0
@@ -313,9 +326,9 @@ def reference_scan(vertices, explain=False, collect_signs=True):
         c_i = sign_of(delta(v0, v1, vertices[i]))
         if table is not None:
             if i <= n - 2:
-                table.a[i] = a_i
-            table.b[i] = b_i
-            table.c[i] = c_i
+                table.a.append(a_i)
+            table.b.append(b_i)
+            table.c.append(c_i)
         if i > 2 and failed is None:
             j = i - 1
             if prev_a * prev_b <= 0:
