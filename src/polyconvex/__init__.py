@@ -16,11 +16,10 @@ from .errors import (ExhaustedEpsilonBudget, InvalidConditionId,
 from .fast_test import (ConditionId, ConvexityReport, SignTable,
                         condition_value, is_strictly_convex,
                         is_strictly_convex_chain)
-from .generator import (Arc, DEFAULT_SEED_TRIANGLE, extend,
-                        make_minimality_witness, make_strictly_convex,
-                        parabola_polygon, random_polygon)
-from .geometry import (NEG, POS, ZERO, AffineMap, Point, Polygon, Scalar,
-                       delta, delta_evaluations, sign_of)
+from .generator import (DEFAULT_SEED_TRIANGLE, make_minimality_witness,
+                        make_strictly_convex, parabola_polygon, random_polygon)
+from .geometry import (Point, Polygon, Scalar, delta, delta_evaluations,
+                       sign_of)
 from .oracles import (convex_hull, hull_oracle, matches_hull_order,
                       strictly_convex_oracle)
 from .polyfile import (PolygonParseError, format_polygon, parse_polygon,
@@ -30,13 +29,13 @@ from .predicates import is_quasi_strict, is_strict, strictly_one_side
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap", "Arc", "ConditionId", "ConvexityReport",
-    "DEFAULT_SEED_TRIANGLE", "ExhaustedEpsilonBudget", "InvalidConditionId",
-    "NEG", "NotQuasiStrictInput", "POS", "Point", "Polygon",
-    "PolygonParseError", "Scalar", "SignTable", "TooFewVertices", "ZERO",
-    "condition_value", "convex_hull", "delta", "delta_evaluations", "extend",
-    "format_polygon", "hull_oracle", "is_quasi_strict", "is_strict",
-    "is_strictly_convex", "is_strictly_convex_chain", "make_minimality_witness",
+    "ConditionId", "ConvexityReport", "DEFAULT_SEED_TRIANGLE",
+    "ExhaustedEpsilonBudget", "InvalidConditionId", "NotQuasiStrictInput",
+    "Point", "Polygon", "PolygonParseError", "Scalar", "SignTable",
+    "TooFewVertices", "condition_value", "convex_hull", "delta",
+    "delta_evaluations", "format_polygon", "hull_oracle",
+    "is_quasi_strict", "is_strict", "is_strictly_convex",
+    "is_strictly_convex_chain", "make_minimality_witness",
     "make_strictly_convex", "matches_hull_order", "parabola_polygon",
     "parse_polygon", "random_polygon", "read_polygon_file", "sign_of",
     "strictly_convex_oracle", "strictly_one_side", "write_polygon_file",

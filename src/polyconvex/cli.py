@@ -64,6 +64,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # A polygon file holds values of up to MAX_DIGITS digits, so a lower
+    # int-string limit (PYTHONINTMAXSTRDIGITS) is raised for the run.
+    # Python 3.10.0-3.10.6 have no limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    raise_limit = 0 < limit < MAX_DIGITS
+    if raise_limit:
+        sys.set_int_max_str_digits(MAX_DIGITS)
     try:
         return args.func(args)
     except (PolygonParseError, OSError) as exc:
@@ -73,6 +80,9 @@ def main(argv=None) -> int:
         # Exit 1 means "not strictly convex" and nothing else.
         traceback.print_exc()
         return 4
+    finally:
+        if raise_limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _cmd_check(args) -> int:

@@ -6,7 +6,7 @@ class TooFewVertices(ValueError):
 
 
 class NotQuasiStrictInput(ValueError):
-    """The generator needs a quasi-strict polygon with at least 3 vertices."""
+    """The generator needs a seed triangle whose vertices are not collinear."""
 
 
 class ExhaustedEpsilonBudget(RuntimeError):

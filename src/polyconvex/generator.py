@@ -3,81 +3,51 @@
 The core move appends one vertex to a quasi-strict polygon.  Work in the
 frame that sends the first vertex to (0,0), the second to (1,0) and the last
 to (0,1); with (x, y) the image of the second-to-last vertex, the new vertex
-is drawn from one of four parabolic arcs, parameterized by a small eps > 0:
+is drawn from one of four parabolic arcs, parameterized by a small eps > 0
+and named by the condition family omega it negates (0: none):
 
-    ALL_HOLD  (-eps*x,      eps + eps^2)
-    NEG_C3    (-eps*x,     -eps - eps^2)
-    NEG_C2    ( eps*x,      eps + eps^2)
-    NEG_C1    ((1+eps)*x,  (1+eps)*|y| + eps^2)
+    omega 0  (-eps*x,      eps + eps^2)
+    omega 1  ((1+eps)*x,  (1+eps)*|y| + eps^2)
+    omega 2  ( eps*x,      eps + eps^2)
+    omega 3  (-eps*x,     -eps - eps^2)
 
-Every point of the ALL_HOLD arc satisfies all three new sign conditions at
-the fresh index; each other arc violates exactly the condition it names and
-satisfies the other two.  For the first three arcs eps must stay below
-1/(10*(1+|y|)); the NEG_C1 arc works for every eps > 0.  A line through two
-existing vertices meets an arc at most twice, so among any k*(k-1)+1 distinct
-arc points at least one keeps the extended polygon quasi-strict; the search
-below always terminates within that budget.
+Every point of arc 0 satisfies all three new sign conditions at the fresh
+index; every point of arc omega > 0 violates family omega alone.  Arcs 0, 2
+and 3 need eps below 1/(10*(1+|y|)); arc 1 works for every eps > 0.  A line
+through two existing vertices meets an arc at most twice, so among any
+k*(k-1)+1 distinct arc points at least one keeps the extended polygon
+quasi-strict; the search below always terminates within that budget.
 
-Iterating ALL_HOLD grows strictly convex polygons of any size.  Splicing in
-one violating step yields, for every condition of the linear test, a
-quasi-strict polygon failing that condition alone: the witnesses showing that
-none of the 3(n-3) checks can be dropped.
+Iterating arc 0 grows strictly convex polygons of any size.  Splicing in one
+violating step yields, for every condition of the linear test, a quasi-strict
+polygon failing that condition alone: the witnesses showing that none of the
+3(n-3) checks can be dropped.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import (ExhaustedEpsilonBudget, InvalidConditionId,
                      NotQuasiStrictInput)
 from .fast_test import ConditionId, condition_value
-from .geometry import AffineMap, Point, delta
-from .predicates import is_quasi_strict
-
-
-class Arc(Enum):
-    ALL_HOLD = "all-hold"
-    NEG_C1 = "neg-c1"
-    NEG_C2 = "neg-c2"
-    NEG_C3 = "neg-c3"
-
+from .geometry import Point, delta
 
 DEFAULT_SEED_TRIANGLE = (Point(0, 0), Point(1, 0), Point(0, 1))
 
-_VARIANT_FOR_OMEGA = {1: Arc.NEG_C1, 2: Arc.NEG_C2, 3: Arc.NEG_C3}
 
-
-def _arc_point(variant: Arc, eps: Fraction, x, y) -> Point:
-    if variant is Arc.ALL_HOLD:
-        return Point(-eps * x, eps + eps * eps)
-    if variant is Arc.NEG_C3:
-        return Point(-eps * x, -eps - eps * eps)
-    if variant is Arc.NEG_C2:
-        return Point(eps * x, eps + eps * eps)
-    return Point((1 + eps) * x, (1 + eps) * abs(y) + eps * eps)
-
-
-def _epsilons(variant: Arc, y):
-    """Distinct admissible arc parameters, largest first.
-
-    Values are 1/(t*2^j) with t the smallest integer exceeding the inverse
-    bound, so their bit size grows by one per attempt instead of compounding
-    (a ratio sequence like bound/(j+2) squares the numerator and denominator
-    of the bound at every extension step, which becomes unusable beyond a
-    handful of vertices).
-    """
-    if variant is Arc.NEG_C1:
-        bound = Fraction(1)
-    else:
-        bound = Fraction(1, 10) / (1 + abs(y))
-    t = bound.denominator // bound.numerator + 1
-    j = 0
-    while True:
-        yield Fraction(1, t << j)
-        j += 1
+def _arc_point(omega: int, eps: Fraction, x, y) -> tuple:
+    """Frame coordinates of the point at eps on arc omega."""
+    if omega == 0:
+        return -eps * x, eps + eps * eps
+    if omega == 1:
+        return (1 + eps) * x, (1 + eps) * abs(y) + eps * eps
+    if omega == 2:
+        return eps * x, eps + eps * eps
+    return -eps * x, -eps - eps * eps
 
 
 def _keeps_quasi_strict(polygon: Sequence[Point], vertex: Point) -> bool:
@@ -101,21 +71,9 @@ def _keeps_quasi_strict(polygon: Sequence[Point], vertex: Point) -> bool:
     return True
 
 
-def extend(polygon: Sequence[Point], variant: Arc) -> tuple:
-    """Append one vertex on the chosen arc, keeping the result quasi-strict.
-
-    The input vertices are preserved verbatim as a prefix.  Raises
-    NotQuasiStrictInput unless the input is a quasi-strict polygon with
-    k >= 3 vertices.
-    """
-    if len(polygon) < 3 or not is_quasi_strict(polygon):
-        raise NotQuasiStrictInput(
-            f"extension needs a quasi-strict polygon with >= 3 vertices")
-    return _arc_step(tuple(polygon), variant)
-
-
-def _arc_step(polygon: tuple, variant: Arc) -> tuple:
-    """extend for a polygon already known to be quasi-strict, k >= 3.
+def _arc_step(polygon: tuple, omega: int) -> tuple:
+    """Append one vertex from arc omega to a quasi-strict polygon, k >= 3,
+    keeping it quasi-strict.  The input vertices stay a verbatim prefix.
 
     The frame map sends (0,0), (1,0), (0,1) to V0, V1, V[k-1]; the frame
     coordinates (x, y) of V[k-2] follow from Cramer's rule.  Quasi-strictness
@@ -128,11 +86,15 @@ def _arc_step(polygon: tuple, variant: Arc) -> tuple:
     x = Fraction(delta(v0, before_last, last), det)
     y = Fraction(delta(v0, v1, before_last), det)
     (x0, y0), (x1, y1), (xl, yl) = v0, v1, last
-    frame = AffineMap(x1 - x0, xl - x0, y1 - y0, yl - y0, x0, y0)
+    # eps = 1/(t*2^j), t > 10*(1+|y|) (arc 1 takes any eps): its bits grow by
+    # one per attempt instead of compounding, as bound/(j+2) would at every
+    # step, which becomes unusable beyond a handful of vertices.
+    t = 2 if omega == 1 else math.floor(10 * (1 + abs(y))) + 1
     budget = k * (k - 1) + 1
-    eps_source = _epsilons(variant, y)
-    for _ in range(budget):
-        vertex = frame.apply(_arc_point(variant, next(eps_source), x, y))
+    for j in range(budget):
+        fx, fy = _arc_point(omega, Fraction(1, t << j), x, y)
+        vertex = Point((x1 - x0) * fx + (xl - x0) * fy + x0,
+                       (y1 - y0) * fx + (yl - y0) * fy + y0)
         if _keeps_quasi_strict(polygon, vertex):
             return polygon + (vertex,)
     raise ExhaustedEpsilonBudget(
@@ -149,8 +111,8 @@ def _require_strict_seed(seed_triangle: Sequence[Point]) -> tuple:
 
 
 def make_strictly_convex(n: int, seed_triangle=DEFAULT_SEED_TRIANGLE) -> tuple:
-    """Strictly convex n-gon grown from a strict seed triangle by ALL_HOLD
-    extensions.  Deterministic; no randomness in the construction path.
+    """Strictly convex n-gon grown from a strict seed triangle by arc 0
+    steps.  Deterministic; no randomness in the construction path.
 
     Exact coordinates of the arc construction need on the order of k^2 bits
     at step k (the admissible eps shrinks by a constant factor every step),
@@ -160,7 +122,7 @@ def make_strictly_convex(n: int, seed_triangle=DEFAULT_SEED_TRIANGLE) -> tuple:
         raise ValueError(f"n must be >= 3, got {n}")
     polygon = _require_strict_seed(seed_triangle)
     while len(polygon) < n:
-        polygon = _arc_step(polygon, Arc.ALL_HOLD)
+        polygon = _arc_step(polygon, 0)
     return polygon
 
 
@@ -168,27 +130,23 @@ def make_minimality_witness(n: int, target,
                             seed_triangle=DEFAULT_SEED_TRIANGLE) -> tuple:
     """Quasi-strict n-gon violating exactly the target condition.
 
-    ALL_HOLD extensions everywhere except one: when the polygon has
-    target.i + 1 vertices, the next vertex is drawn from the arc violating
-    the target's condition family, planting the single failure at index
-    target.i.  Condition (omega, i) reads only V0, V1 and V[i-1..i+1], so
-    later extensions, which only append vertices, leave it untouched, and
-    each new index gets the all-hold treatment.  As a guard, the sign pattern
-    of the finished polygon is verified once from raw determinant products.
+    Steps on arc 0 everywhere except one: when the polygon has target.i + 1
+    vertices, the next vertex is drawn from arc target.omega, planting the
+    single failure at index target.i.  Condition (omega, i) reads only V0,
+    V1 and V[i-1..i+1], so later steps, which only append vertices, leave it
+    untouched, and each new index gets an arc 0 vertex.  As a guard, the
+    sign pattern of the finished polygon is verified once from raw
+    determinant products.
     """
     omega, i = target
     if not isinstance(n, int) or n < 4 or omega not in (1, 2, 3) \
             or not 2 <= i <= n - 2:
         raise InvalidConditionId(
             f"target (omega={omega}, i={i}) invalid for n={n}")
-    target = ConditionId(omega, i)
     polygon = _require_strict_seed(seed_triangle)
-    negate_at = target.i + 1
-    variant = _VARIANT_FOR_OMEGA[target.omega]
     while len(polygon) < n:
-        step = variant if len(polygon) == negate_at else Arc.ALL_HOLD
-        polygon = _arc_step(polygon, step)
-    _verify_witness_pattern(polygon, target)
+        polygon = _arc_step(polygon, omega if len(polygon) == i + 1 else 0)
+    _verify_witness_pattern(polygon, ConditionId(omega, i))
     return polygon
 
 

@@ -12,13 +12,10 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
 Scalar = Union[int, Fraction]
-
-NEG, ZERO, POS = -1, 0, 1
 
 
 class Point(NamedTuple):
@@ -80,28 +77,8 @@ def require_exact(vertices) -> None:
 def sign_of(value: Scalar) -> int:
     """Exact sign of a rational: -1, 0 or +1.  No tolerance exists or is needed."""
     if value > 0:
-        return POS
+        return 1
     if value < 0:
-        return NEG
-    return ZERO
+        return -1
+    return 0
 
-
-@dataclass(frozen=True)
-class AffineMap:
-    """Affine plane map (x, y) -> (a*x + b*y + e, c*x + d*y + f)."""
-
-    a: Scalar
-    b: Scalar
-    c: Scalar
-    d: Scalar
-    e: Scalar
-    f: Scalar
-
-    @property
-    def det(self) -> Scalar:
-        return self.a * self.d - self.b * self.c
-
-    def apply(self, p) -> Point:
-        px, py = p
-        return Point(self.a * px + self.b * py + self.e,
-                     self.c * px + self.d * py + self.f)

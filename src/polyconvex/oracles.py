@@ -109,10 +109,6 @@ def hull_oracle(vertices: Sequence[Point]) -> bool:
 
     For strict polygons the order condition is equivalent to the edges
     covering the hull boundary exactly, since no vertex can then sit inside a
-    hull edge.
+    hull edge.  matches_hull_order validates the input for both checks.
     """
-    n = len(vertices)
-    if n < 3:
-        raise TooFewVertices(f"oracle needs n >= 3, got {n}")
-    require_exact(vertices)
     return matches_hull_order(vertices) and is_strict(vertices)

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +174,40 @@ def test_generate_beyond_the_cap_exits_2_at_once(mode, n, tmp_path, capsys):
     assert time.perf_counter() - start < 0.5
     assert f"--n must be <= {cli.MAX_GENERATE_N}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def run_cli_under_int_string_limit(limit, *args):
+    src = str(Path(cli.__file__).parent.parent)
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS=limit, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "polyconvex.cli", *args],
+                          env=env, capture_output=True, text=True)
+
+
+def test_file_format_ignores_a_lowered_int_string_limit(tmp_path):
+    written = {}
+    for limit in ("4300", "640"):
+        out = tmp_path / f"convex-{limit}.txt"
+        done = run_cli_under_int_string_limit(
+            limit, "generate", "--mode", "convex", "--n", "30", "--out",
+            str(out))
+        assert done.returncode == 0, done.stderr
+        written[limit] = out.read_bytes()
+    assert written["640"] == written["4300"]
+    # The 30-gon needs more digits than the lowered limit allows.
+    assert max(map(len, written["4300"].split())) > 640
+    done = run_cli_under_int_string_limit(
+        "640", "check", str(tmp_path / "convex-4300.txt"))
+    assert (done.returncode, done.stdout) == (0, "strictly-convex\n")
+
+
+def test_main_restores_a_lowered_int_string_limit(square_file, capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert main(["check", square_file]) == 0
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_unexpected_error_exits_4_with_traceback(square_file, monkeypatch,

@@ -14,8 +14,7 @@ from polyconvex.fast_test import (ConditionId, ConvexityReport, SignTable,
                                   is_strictly_convex_chain)
 from polyconvex.generator import (make_strictly_convex, parabola_polygon,
                                   random_polygon)
-from polyconvex.geometry import (AffineMap, Point, delta, delta_evaluations,
-                                 sign_of)
+from polyconvex.geometry import Point, delta, delta_evaluations, sign_of
 from polyconvex.oracles import (convex_hull, hull_oracle, matches_hull_order,
                                 strictly_convex_oracle)
 
@@ -193,10 +192,10 @@ affine_scalars = st.integers(min_value=-5, max_value=5)
 @settings(max_examples=300)
 def test_verdict_invariant_under_invertible_affine_maps(poly, ma, mb, mc, md,
                                                         me, mf):
-    m = AffineMap(ma, mb, mc, md, me, mf)
-    if m.det == 0:
+    if ma * md - mb * mc == 0:
         return
-    mapped = tuple(m.apply(p) for p in poly)
+    mapped = tuple(Point(ma * p.x + mb * p.y + me, mc * p.x + md * p.y + mf)
+                   for p in poly)
     assert is_strictly_convex(mapped).verdict == is_strictly_convex(poly).verdict
 
 
@@ -388,10 +387,10 @@ def _random_polygons(rng, count):
                       for _ in range(6)]
         else:
             coeffs = [rng.randint(-9, 9) for _ in range(6)]
-        m = AffineMap(*coeffs)
-        if m.det == 0:
-            m = AffineMap(1, 0, 0, 1, *coeffs[4:])
-        yield tuple(m.apply(p) for p in poly)
+        a, b, c, d, e, f = coeffs
+        if a * d - b * c == 0:
+            a, b, c, d = 1, 0, 0, 1
+        yield tuple(P(a * x + b * y + e, c * x + d * y + f) for x, y in poly)
 
 
 def test_kernel_matches_reference_loop_on_random_polygons():

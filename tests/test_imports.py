@@ -1,5 +1,5 @@
-"""No module of the package imports a name it never uses, and the package
-exports only names it has.
+"""No module of the package or of its tests imports a name it never uses,
+and the package exports only names it has.
 
 There is no linter in the toolchain, so this stands in for its unused-import
 rule: a name bound by ``import`` or ``from ... import`` must appear as a name
@@ -15,7 +15,8 @@ import pytest
 
 import polyconvex
 
-SOURCES = sorted(Path(polyconvex.__file__).parent.glob("*.py"))
+SOURCES = (sorted(Path(polyconvex.__file__).parent.glob("*.py"))
+           + sorted(Path(__file__).parent.glob("*.py")))
 
 
 def unused_imports(source: str) -> list:

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyconvex.generator import Arc, extend, make_minimality_witness, make_strictly_convex
+from polyconvex import generator
 from polyconvex.fast_test import ConditionId
-from polyconvex.geometry import AffineMap, Point, delta
+from polyconvex.generator import make_minimality_witness, make_strictly_convex
+from polyconvex.geometry import Point
 from polyconvex.oracles import strictly_convex_oracle
 from polyconvex.predicates import is_quasi_strict, is_strict, strictly_one_side
 
@@ -74,11 +75,10 @@ def test_strictly_one_side_empty_targets():
 @settings(max_examples=200)
 def test_strictly_one_side_affine_invariant(targets, start, end,
                                             ma, mb, mc, md, me, mf):
-    m = AffineMap(ma, mb, mc, md, me, mf)
-    if m.det == 0:
+    if ma * md - mb * mc == 0:
         return
-    mapped = strictly_one_side([m.apply(t) for t in targets],
-                               m.apply(start), m.apply(end))
+    m = lambda p: Point(ma * p.x + mb * p.y + me, mc * p.x + md * p.y + mf)
+    mapped = strictly_one_side([m(t) for t in targets], m(start), m(end))
     assert mapped == strictly_one_side(targets, start, end)
 
 
@@ -86,7 +86,7 @@ def test_generated_quasi_strict_polygons_are_ordinary():
     polygons = [make_strictly_convex(n) for n in range(3, 9)]
     polygons += [make_minimality_witness(6, ConditionId(omega, i))
                  for omega in (1, 2, 3) for i in (2, 3, 4)]
-    polygons.append(extend(make_strictly_convex(5), Arc.NEG_C2))
+    polygons.append(generator._arc_step(make_strictly_convex(5), 2))
     # For n >= 3, quasi-strict already rules out two equal vertices.
     for poly in polygons:
         assert is_quasi_strict(poly)
