@@ -1,12 +1,12 @@
 """Brute-force reference deciders for strict convexity.
 
 Two independent routes: an all-edges sidedness sweep, O(n^2), and a
-convex-hull boundary-order comparison, O(n^3), since its no-three-collinear
-pre-check visits every vertex triple.  They share nothing with the
-linear-time test beyond the orientation determinant, so three-way agreement
-is meaningful evidence rather than an echo.  Like the linear-time deciders,
-both oracles and the hull helpers raise TypeError on a coordinate that is
-not an exact rational.
+comparison with the boundary order of the convex hull (Andrew's monotone
+chain, O(n log n)) followed by a no-three-collinear check that visits every
+vertex triple, O(n^3).  They share nothing with the linear-time test beyond
+the orientation determinant, so three-way agreement is meaningful evidence
+rather than an echo.  Like the linear-time deciders, both oracles and the
+hull helpers raise TypeError on a coordinate that is not an exact rational.
 """
 
 from __future__ import annotations
@@ -34,10 +34,11 @@ def strictly_convex_oracle(vertices: Sequence[Point]) -> bool:
 
 
 def convex_hull(points: Sequence[Point]) -> list[Point]:
-    """Corners of the convex hull in counterclockwise boundary order.
+    """Corners of the convex hull in counterclockwise boundary order, starting
+    at the lexicographically smallest point.
 
-    Gift wrapping over the distinct points, exact arithmetic throughout.
-    Collinear candidates are resolved toward the farthest point, so only
+    Andrew's monotone chain over the sorted distinct points, exact arithmetic
+    throughout.  A point on a hull edge is popped like an inner one, so only
     corners (extreme points) are emitted; degenerate inputs (fewer than three
     distinct points, or all collinear) come back as their sorted extremes.
     """
@@ -45,39 +46,14 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
-    start = pts[0]
-    hull = [start]
-    current = start
-    while True:
-        candidate = None
-        for p in pts:
-            if p == current:
-                continue
-            if candidate is None:
-                candidate = p
-                continue
-            turn = delta(current, candidate, p)
-            if turn < 0 or (turn == 0 and _farther(current, p, candidate)):
-                candidate = p
-        if candidate == start:
-            break
-        hull.append(candidate)
-        current = candidate
-        if len(hull) > len(pts):
-            raise RuntimeError("gift wrapping failed to close the hull")
-    return hull
-
-
-def _farther(origin: Point, p: Point, q: Point) -> bool:
-    ox, oy = origin
-    px, py = p
-    qx, qy = q
-    return (px - ox) ** 2 + (py - oy) ** 2 > (qx - ox) ** 2 + (qy - oy) ** 2
-
-
-def _canonical_cycle(seq: Sequence[Point]) -> tuple:
-    k = seq.index(min(seq))
-    return tuple(seq[k:]) + tuple(seq[:k])
+    lower: list[Point] = []
+    upper: list[Point] = []
+    for chain, walk in ((lower, pts), (upper, reversed(pts))):
+        for p in walk:
+            while len(chain) >= 2 and delta(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+    return lower[:-1] + upper[:-1]
 
 
 def matches_hull_order(vertices: Sequence[Point]) -> bool:
@@ -85,7 +61,9 @@ def matches_hull_order(vertices: Sequence[Point]) -> bool:
     and reversal?
 
     False whenever some vertex repeats or is not a hull corner (the lengths
-    differ), or the order disagrees.  Orientation does not matter.
+    differ), or the order disagrees.  Orientation does not matter.  The hull
+    starts at its smallest corner, so the sequence is rotated to start there
+    and compared with the hull walked both ways.
     """
     n = len(vertices)
     if n < 3:
@@ -93,12 +71,10 @@ def matches_hull_order(vertices: Sequence[Point]) -> bool:
     hull = convex_hull(vertices)
     if len(hull) != n:
         return False
-    want = _canonical_cycle(hull)
     seq = list(vertices)
-    if _canonical_cycle(seq) == want:
-        return True
-    seq.reverse()
-    return _canonical_cycle(seq) == want
+    k = seq.index(hull[0])
+    seq = seq[k:] + seq[:k]
+    return seq == hull or seq[:0:-1] == hull[1:]
 
 
 def hull_oracle(vertices: Sequence[Point]) -> bool:

@@ -6,9 +6,9 @@ exactly, so "0.1" is one tenth, never a binary float.  A run of more than
 MAX_DIGITS digits (leading zeros count), a decimal exponent beyond
 +-MAX_DIGITS, or a value whose numerator or denominator has more than
 MAX_DIGITS digits, is a PolygonParseError.  Blank lines and lines
-starting with '#' are ignored.  Files are UTF-8 text; other bytes are a
-PolygonParseError.  Writing a polygon and parsing it back reproduces it
-exactly.
+starting with '#' are ignored.  Files are UTF-8 text, optionally opening
+with a byte-order mark; other bytes are a PolygonParseError.  Writing a
+polygon and parsing it back reproduces it exactly.
 """
 
 from __future__ import annotations
@@ -123,10 +123,15 @@ def read_polygon_file(path) -> tuple:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_number = data.count(b"\n", 0, exc.start) + 1
+        # Number lines as parse_polygon does.  The "?" stands in for the bad
+        # byte, so a prefix that ends in a line break counts the line after.
+        prefix = data[:exc.start].decode("utf-8")
+        line_number = len((prefix + "?").splitlines())
         raise PolygonParseError(f"not UTF-8 text: {exc.reason} at byte "
                                 f"{exc.start}", line_number) from None
-    return parse_polygon(text)
+    # Dropped here rather than by the utf-8-sig codec, whose error offsets
+    # would not count the mark's three bytes.
+    return parse_polygon(text.removeprefix("\ufeff"))
 
 
 def write_polygon_file(path, vertices: Sequence[Point]) -> None:

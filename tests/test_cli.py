@@ -60,6 +60,13 @@ def test_check_non_utf8_file_exits_2(tmp_path, capsys):
     assert "line 1: not UTF-8 text" in captured.err
 
 
+def test_check_accepts_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + SQUARE_TEXT.encode())
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "strictly-convex\n"
+
+
 @pytest.mark.parametrize("token", ["1e4301", "1E-1000000", "1.5e+4301"])
 def test_check_huge_exponent_exits_2(token, tmp_path, capsys):
     path = tmp_path / "huge.txt"

@@ -1,5 +1,6 @@
 """No module of the package or of its tests imports a name it never uses,
-and the package exports only names it has.
+the package exports only names it has, and no private module-level function
+or constant of the package is left without a reader.
 
 There is no linter in the toolchain, so this stands in for its unused-import
 rule: a name bound by ``import`` or ``from ... import`` must appear as a name
@@ -15,8 +16,8 @@ import pytest
 
 import polyconvex
 
-SOURCES = (sorted(Path(polyconvex.__file__).parent.glob("*.py"))
-           + sorted(Path(__file__).parent.glob("*.py")))
+PACKAGE = sorted(Path(polyconvex.__file__).parent.glob("*.py"))
+SOURCES = PACKAGE + sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -59,3 +60,53 @@ def test_every_exported_name_resolves_once():
     namespace = {}
     exec("from polyconvex import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def _private_names_bound_by(stmt) -> set:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        names = {stmt.name}
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        names = {node.id for node in ast.walk(stmt)
+                 if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Store)}
+    else:
+        return set()
+    return {name for name in names
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def dead_private_names(sources) -> list:
+    """Private module-level functions and constants that no code of the
+    sources reads outside the statement that defines them."""
+    defined = set()
+    used = set()
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            own = _private_names_bound_by(stmt)
+            defined |= own
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Name)
+                        and isinstance(node.ctx, ast.Load)):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name not in own:
+                    used.add(name)
+    return sorted(defined - used)
+
+
+def test_no_dead_private_names_in_the_package():
+    assert dead_private_names(p.read_text(encoding="utf-8")
+                              for p in PACKAGE) == []
+
+
+def test_the_check_sees_a_dead_private_name():
+    source = ("_LIMIT = 3\n_SPARE = 4\n"
+              "def _walk(n):\n    return _walk(n - 1) if n else _LIMIT\n"
+              "def _used():\n    pass\n"
+              "def public():\n    return _used()\n")
+    assert dead_private_names([source]) == ["_SPARE", "_walk"]

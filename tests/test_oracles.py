@@ -1,11 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyconvex.oracles as oracles_module
 from polyconvex.errors import TooFewVertices
 from polyconvex.generator import make_strictly_convex
-from polyconvex.geometry import Point
+from polyconvex.geometry import Point, delta
 from polyconvex.oracles import (convex_hull, hull_oracle, matches_hull_order,
                                 strictly_convex_oracle)
 
@@ -121,3 +123,33 @@ def test_matches_hull_order_up_to_rotation_and_reversal():
         assert matches_hull_order(rotated)
         assert matches_hull_order(tuple(reversed(rotated)))
     assert not matches_hull_order(SWAPPED_SQUARE)
+
+
+coords = st.integers(0, 4)
+# Single grid points, which repeat often, and collinear runs of up to four.
+pieces = st.one_of(
+    st.builds(lambda x, y: [P(x, y)], coords, coords),
+    st.builds(lambda x, y, dx, dy, k: [P(x + i * dx, y + i * dy)
+                                       for i in range(k)],
+              coords, coords, st.integers(-1, 1), st.integers(-1, 1),
+              st.integers(2, 4)),
+)
+point_lists = st.lists(pieces, min_size=1, max_size=5).map(
+    lambda runs: [p for run in runs for p in run])
+
+
+@given(points=point_lists)
+@settings(max_examples=400)
+def test_convex_hull_meets_the_hull_definition(points):
+    hull = convex_hull(points)
+    lo, hi = min(points), max(points)
+    if all(delta(lo, hi, p) == 0 for p in points):
+        assert hull == sorted({lo, hi})
+        return
+    k = len(hull)
+    assert k >= 3 and hull[0] == lo
+    assert set(hull) <= set(points)
+    for i in range(k):
+        a, b, c = hull[i], hull[(i + 1) % k], hull[(i + 2) % k]
+        assert delta(a, b, c) > 0
+        assert all(delta(a, b, p) >= 0 for p in points)

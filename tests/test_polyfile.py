@@ -118,7 +118,8 @@ def outcome(parse, token):
     ("1_000", 1000), ("\u0663", 3), ("-\u0663", -3), ("1e3", 1000),
     ("3/4", Fraction(3, 4)), ("0.125", Fraction(1, 8)), ("6/3", 2),
     ("\u00b2", None), ("--5", None), ("-", None), ("", None), ("1/0", None),
-    ("1" * 4301, None), ("-" + "1" * 4301, None),
+    pytest.param("1" * 4301, None, id="4301-digits"),
+    pytest.param("-" + "1" * 4301, None, id="minus-4301-digits"),
 ])
 def test_parse_scalar_token_grammar(token, expected):
     assert outcome(parse_scalar, token) == outcome(fraction_only, token)
@@ -233,3 +234,29 @@ def test_non_utf8_file_is_a_parse_error(tmp_path):
         read_polygon_file(path)
     assert err.value.line_number == 2
     assert "UTF-8" in str(err.value)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r", "\r\n"], ids=["LF", "CR", "CRLF"])
+def test_bad_byte_line_is_numbered_as_the_parser_numbers_lines(tmp_path, eol):
+    head = eol.join(["0 0", "1 0", "1 1", ""]).encode()
+    path = tmp_path / "bad.txt"
+    path.write_bytes(head + b"\xff 1" + eol.encode())
+    with pytest.raises(PolygonParseError) as bad_byte:
+        read_polygon_file(path)
+    path.write_bytes(head + b"x 1" + eol.encode())
+    with pytest.raises(PolygonParseError) as bad_token:
+        read_polygon_file(path)
+    assert bad_byte.value.line_number == bad_token.value.line_number == 4
+    assert str(bad_byte.value).endswith(f"at byte {len(head)}")
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf0 0\n1 0\n1 1\n0 1\n")
+    assert read_polygon_file(path) == (P(0, 0), P(1, 0), P(1, 1), P(0, 1))
+    # Byte offsets still count from the start of the file, mark included.
+    path.write_bytes(b"\xef\xbb\xbf0 0\n\xff 1\n")
+    with pytest.raises(PolygonParseError) as err:
+        read_polygon_file(path)
+    assert str(err.value) == ("line 2: not UTF-8 text: invalid start byte "
+                              "at byte 7")
