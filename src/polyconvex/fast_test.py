@@ -27,8 +27,22 @@ products (``a_i`` from the two edge vectors at V[i], ``b_i`` and ``c_i``
 from the translated vertices), compares each product with zero inline, and
 never wraps an index with ``% n``.  A step counts as three determinant
 evaluations in ``geometry.delta_evaluations()``, so a full scan still counts
-exactly 3(n-3)+3.  ``condition_value`` stays on raw ``delta`` products, as a
-check that does not share the kernel.
+exactly 3(n-3)+3.
+
+Rational input is scanned in integers.  Scaling x by one positive integer Dx
+and y by another, Dy, is the linear map diag(Dx, Dy), of determinant
+Dx*Dy > 0: it multiplies every orientation determinant by Dx*Dy and so keeps
+every sign, hence every verdict and every ``failed`` id.  With Dx and Dy the
+lcm of each axis's denominators, each scaled coordinate is an int, and int
+products are far cheaper than Fraction ones, which reduce by a gcd at every
+operation.  The scan reads the scaled coordinates lazily, so no copy of the
+polygon is made.  A guard keeps the unscaled input when an lcm grows past
+twice the bits of the input's longest denominator and numerator together
+(pairwise-coprime denominators, say), since the scaled values would then be
+longer than the fractions they replace.  All-int input skips all of this.
+
+``condition_value`` stays on raw ``delta`` products of the unscaled input,
+as a check that shares neither the kernel nor its scaling.
 
 Base cases: every polygon with n <= 2 is strictly convex, and a triangle is
 strictly convex iff its three vertices are not collinear.
@@ -40,7 +54,9 @@ Every decider raises TypeError on a coordinate that is not an exact rational
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InvalidConditionId
@@ -142,6 +158,48 @@ def is_strictly_convex(vertices: Sequence[Point], *, explain: bool = False,
     return ConvexityReport(failed is None, n, failed, table)
 
 
+# Coordinates per math.lcm call: few enough that input the guard refuses,
+# such as pairwise-coprime denominators, is refused after a short prefix.
+_LCM_CHUNK = 256
+
+
+def _common_denominator(values) -> int:
+    """The lcm of the denominators of ``values``, or 0 past the guard.
+
+    Gives up, returning 0, once the lcm has more than twice as many bits as
+    the largest denominator and the largest |numerator| read so far
+    together.  Within that bound a scaled coordinate is at most about three
+    times as long as the longest input value.
+    """
+    lcm = 1
+    den_bits = num_bits = 0
+    values = iter(values)
+    while chunk := list(itertools.islice(values, _LCM_CHUNK)):
+        dens = list(map(attrgetter("denominator"), chunk))
+        lcm = math.lcm(lcm, *dens)
+        den_bits = max(den_bits, max(dens).bit_length())
+        num_bits = max(num_bits,
+                       max(map(abs, map(attrgetter("numerator"),
+                                        chunk))).bit_length())
+        if lcm.bit_length() > 2 * (den_bits + num_bits):
+            return 0
+    return lcm
+
+
+def _integer_points(vertices: Sequence[Point]):
+    """The vertices to scan: ``vertices`` itself if every coordinate is an
+    int or the guard refuses to scale, else an iterator over the vertices
+    with x scaled by Dx and y by Dy into ints (see the module docstring)."""
+    if require_exact(vertices) <= {int}:
+        return vertices
+    dx = _common_denominator(map(itemgetter(0), vertices))
+    dy = dx and _common_denominator(map(itemgetter(1), vertices))
+    if not dy:
+        return vertices
+    return ((x.numerator * (dx // x.denominator),
+             y.numerator * (dy // y.denominator)) for x, y in vertices)
+
+
 def _scan(vertices: Sequence[Point], explain: bool, collect_signs: bool):
     """The scan kernel behind every decision path; needs n >= 4.
 
@@ -156,15 +214,16 @@ def _scan(vertices: Sequence[Point], explain: bool, collect_signs: bool):
     and the window slides by c -> p, q -> c, f -> e, so each coordinate
     difference is taken once.  The determinants are evaluated inline rather
     than through geometry.delta; their count, three per step, is added to the
-    delta_evaluations() counter once on exit.  Returns (failed, table).
+    delta_evaluations() counter once on exit.  The points come from
+    ``_integer_points``, in one pass.  Returns (failed, table).
     """
-    require_exact(vertices)
     n = len(vertices)
-    x0, y0 = vertices[0]
-    ux, uy = vertices[1]
+    points = iter(_integer_points(vertices))
+    x0, y0 = next(points)
+    ux, uy = next(points)
     ux -= x0
     uy -= y0
-    cx, cy = vertices[2]
+    cx, cy = next(points)
     cx -= x0
     cy -= y0
     px, py = ux, uy
@@ -172,8 +231,7 @@ def _scan(vertices: Sequence[Point], explain: bool, collect_signs: bool):
     table = SignTable([], [], []) if collect_signs else None
     failed = None
     prev_a = prev_b = prev_c = 0
-    following = itertools.chain(itertools.islice(vertices, 3, None),
-                                (vertices[0],))
+    following = itertools.chain(points, ((x0, y0),))
     for i, (qx, qy) in zip(range(2, n), following):
         qx -= x0
         qy -= y0

@@ -60,18 +60,22 @@ def add_delta_evaluations(count: int) -> None:
     _delta_evaluations += count
 
 
-def require_exact(vertices) -> None:
+def require_exact(vertices) -> set:
     """Raise TypeError unless every coordinate is an int or a Fraction.
 
     Every decider calls this on the vertices it reads.  Floats would decide
     signs with rounded arithmetic, and so would Decimal, which rounds each
     product to its context precision; convert such values exactly with
-    fractions.Fraction first.  The type scan runs in C.
+    fractions.Fraction first.  The type scan runs in C.  Returns the set of
+    coordinate types, so a caller can tell all-int input without a second
+    pass.
     """
-    for kind in set(map(type, itertools.chain.from_iterable(vertices))):
+    kinds = set(map(type, itertools.chain.from_iterable(vertices)))
+    for kind in kinds:
         if not issubclass(kind, numbers.Rational):
             raise TypeError(f"coordinates must be exact rationals (int or "
                             f"Fraction), got {kind.__name__}")
+    return kinds
 
 
 def sign_of(value: Scalar) -> int:

@@ -258,6 +258,19 @@ def test_criterion_8_linear_scaling():
     assert ok
 
 
+def test_rational_decision_keeps_constant_memory():
+    # Criterion 8's bound for Fraction input: the scan reads the integer
+    # images of the coordinates one vertex at a time, never a scaled copy.
+    poly = tuple(P(Fraction(x, 3), Fraction(y, 5))
+                 for x, y in parabola_polygon(10**5))
+    tracemalloc.start()
+    report = is_strictly_convex(poly, collect_signs=False)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert report.signs is None and report.verdict
+    assert peak < 256 * 1024, peak
+
+
 def test_criterion_9_regressions():
     square = (P(0, 0), P(1, 0), P(1, 1), P(0, 1))
     swapped = (P(0, 0), P(1, 1), P(1, 0), P(0, 1))

@@ -183,6 +183,21 @@ def test_generate_beyond_the_cap_exits_2_at_once(mode, n, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, code, out", [
+    (SQUARE_TEXT, 0, "strictly-convex\n"),
+    (SWAPPED_TEXT, 1, "not-strictly-convex: C2 at i=2\n"),
+    ("0 0\n1 x\n", 2, ""),
+], ids=["square", "swapped-square", "bad-file"])
+def test_python_dash_m_polyconvex_runs_the_cli(tmp_path, text, code, out):
+    path = tmp_path / "polygon.txt"
+    path.write_text(text)
+    src = str(Path(cli.__file__).parent.parent)
+    done = subprocess.run([sys.executable, "-m", "polyconvex", "check",
+                           str(path)], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (code, out), done.stderr
+
+
 def run_cli_under_int_string_limit(limit, *args):
     src = str(Path(cli.__file__).parent.parent)
     env = dict(os.environ, PYTHONINTMAXSTRDIGITS=limit, PYTHONPATH=src)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyconvex import fast_test
 from polyconvex.errors import InvalidConditionId
 from polyconvex.fast_test import (ConditionId, ConvexityReport, SignTable,
                                   condition_value, is_strictly_convex,
@@ -397,3 +398,83 @@ def test_kernel_matches_reference_loop_on_random_polygons():
     rng = random.Random(20061)
     for poly in _random_polygons(rng, 600):
         assert_kernel_matches_reference(poly)
+
+
+# 2^p - 1 for distinct primes p are pairwise coprime, since
+# gcd(2^p - 1, 2^q - 1) = 2^gcd(p, q) - 1.
+COPRIME_DENOMINATORS = [2**p - 1 for p in (61, 67, 71, 73, 79, 83, 89, 97)]
+# Products of powers of 2 and 3: they share factors, and their lcm never
+# outgrows the scaling guard.
+SHARED_DENOMINATORS = (2, 3, 4, 6, 8, 9, 12, 18, 24, 36, 72)
+
+
+def _exact(value):
+    """An int where the value is whole, so polygons mix int and Fraction."""
+    return value.numerator if value.denominator == 1 else value
+
+
+@st.composite
+def rational_polygons(draw):
+    """(polygon, coprime): 4..9-gons, lattice noise or a parabola polygon
+    (convex, some vertices nudged), translated to negative coordinates, with
+    each axis divided by a denominator of SHARED_DENOMINATORS.  If coprime,
+    one axis of each of 6..9 vertices is also moved by 1/m, with a distinct
+    m from COPRIME_DENOMINATORS at every vertex."""
+    coprime = draw(st.booleans())
+    n = draw(st.integers(6 if coprime else 4, 9))
+    if draw(st.booleans()):
+        base = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                             min_size=n, max_size=n))
+    else:
+        base = [(t, t * t) for t in range(n)]
+        if draw(st.booleans()):
+            base.reverse()
+    tx, ty = draw(st.integers(-30, 0)), draw(st.integers(-30, 0))
+    sx, sy = (draw(st.sampled_from(SHARED_DENOMINATORS)) for _ in "xy")
+    nudges = draw(st.lists(st.tuples(st.integers(-2, 2),
+                                     st.sampled_from(SHARED_DENOMINATORS)),
+                           min_size=n, max_size=n))
+    poly = [[Fraction(x + tx, sx) + Fraction(r, d), Fraction(y + ty, sy)]
+            for (x, y), (r, d) in zip(base, nudges)]
+    if coprime:
+        axis = draw(st.integers(0, 1))
+        dens = draw(st.permutations(COPRIME_DENOMINATORS))
+        for point, m in zip(poly, dens):
+            point[axis] += Fraction(draw(st.sampled_from((-1, 1))), m)
+    return tuple(P(_exact(x), _exact(y)) for x, y in poly), coprime
+
+
+@given(case=rational_polygons())
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_reference_loop_on_rational_polygons(case):
+    poly, coprime = case
+    has_fraction = any(isinstance(v, Fraction) for p in poly for v in p)
+    scaled = fast_test._integer_points(poly) is not poly
+    # Both sides of the guard: shared denominators are scaled away, and
+    # pairwise-coprime ones keep the Fraction scan.
+    assert scaled == (has_fraction and not coprime)
+    assert_kernel_matches_reference(poly)
+
+
+def _primes(count):
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def test_scaling_guard_keeps_distinct_prime_denominators_unscaled():
+    n = 500
+    convex = tuple(P(t, Fraction(t * t * p + 1, p))
+                   for t, p in zip(range(n), _primes(n)))
+    assert fast_test._integer_points(convex) is convex
+    report = is_strictly_convex(convex, explain=True)
+    assert report.verdict and report == reference_scan(convex, explain=True)
+    # The same parabola nudged by 1/2^k keeps the scaled scan.
+    dyadic = tuple(P(t, Fraction(t * t * 2**k + 1, 2**k))
+                   for t, k in zip(range(n), itertools.cycle(range(1, 9))))
+    assert fast_test._integer_points(dyadic) is not dyadic
+    assert is_strictly_convex(dyadic).verdict
