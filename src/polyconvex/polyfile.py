@@ -9,6 +9,12 @@ MAX_DIGITS digits, is a PolygonParseError.  Blank lines and lines
 starting with '#' are ignored.  Files are UTF-8 text, optionally opening
 with a byte-order mark; other bytes are a PolygonParseError.  Writing a
 polygon and parsing it back reproduces it exactly.
+
+The grammar is that of Fraction(token).  Integers, "p/q" and "a.b" written
+in plain digits, the shapes that fill real files, are read with int() and
+reduced by at most one Fraction(n, d); every other token goes to Fraction's
+own parser, so what a token means and which error it raises never depend on
+the shortcut.
 """
 
 from __future__ import annotations
@@ -78,6 +84,27 @@ def parse_scalar(token: str, line_number: int | None = None):
             return int(token)
         except ValueError:
             pass
+    # So do "p/q" and "a.b" in plain digits, with an optional "-" on p or a:
+    # int() reads the parts and one Fraction(n, d) reduces them.  A token this
+    # short cannot hold a value beyond the digit caps.  Any other shape, a
+    # zero denominator, or digits int() refuses falls through to Fraction,
+    # which alone decides what such a token means.
+    if len(token) <= MAX_DIGITS:
+        head, sep, tail = token.partition("/")
+        if not sep:
+            head, sep, tail = token.partition(".")
+        if tail.isdigit() and (head.isdigit() or (head[:1] == "-"
+                                                  and head[1:].isdigit())):
+            try:
+                if sep == "/":
+                    numerator, denominator = int(head), int(tail)
+                else:
+                    numerator, denominator = int(head + tail), 10 ** len(tail)
+            except ValueError:
+                denominator = 0
+            if denominator:
+                value = Fraction(numerator, denominator)
+                return value.numerator if value.denominator == 1 else value
     if ("e" in token or "E" in token) and _exponent_too_large(token):
         raise PolygonParseError(f"exponent beyond +-{MAX_DIGITS} in "
                                 f"{_quoted(token)}", line_number)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,8 @@ from polyconvex.cli import main
 from polyconvex.fast_test import ConditionId
 from polyconvex.generator import make_minimality_witness, parabola_polygon
 from polyconvex.geometry import Point
-from polyconvex.polyfile import write_polygon_file
+from polyconvex.polyfile import (format_polygon, format_scalar,
+                                 write_polygon_file)
 
 SQUARE_TEXT = "0 0\n1 0\n1 1\n0 1\n"
 SWAPPED_TEXT = "0 0\n1 1\n1 0\n0 1\n"
@@ -312,13 +314,28 @@ def lifted_parabola(n, k):
     return tuple(poly)
 
 
+def rational_text(polygon):
+    """The file of polygon's image under (x, y) -> ((500 - x)/8,
+    (y - 250000)/3): x as exact decimals, y as p/q or integers.  The map
+    reverses orientation, so every sign of a convex input is -1."""
+    lines = []
+    for x, y in polygon:
+        whole, frac = divmod(abs(500 - x) * 125, 1000)
+        sign = "-" if x > 500 else ""
+        lines.append(f"{sign}{whole}.{frac:03d} "
+                     f"{format_scalar(Fraction(y - 250000, 3))}\n")
+    return "".join(lines)
+
+
 # Exit code and SHA-256 of the exact stdout of checks on 1000-gons.  The
-# last-step input fails at i = n-2, so its fail-fast --json table ends on
+# last-step inputs fail at i = n-2, so their fail-fast --json table ends on
 # the scan's final step; the mid-scan input gives a partial --json table.
 LARGE_INPUTS = {
-    "convex": parabola_polygon(1000),
-    "last-step": lifted_parabola(1000, 998),
-    "mid-scan": lifted_parabola(1000, 500),
+    "convex": format_polygon(parabola_polygon(1000)),
+    "last-step": format_polygon(lifted_parabola(1000, 998)),
+    "mid-scan": format_polygon(lifted_parabola(1000, 500)),
+    "rational-convex": rational_text(parabola_polygon(1000)),
+    "rational-last-step": rational_text(lifted_parabola(1000, 998)),
 }
 LARGE_CHECK_DIGESTS = {
     ("convex", "--explain"): (
@@ -333,13 +350,21 @@ LARGE_CHECK_DIGESTS = {
         1, "bffa3174918823b109e9ddee38b8585a84e4e1a142de91eadafb9904fe814487"),
     ("mid-scan", "--json"): (
         1, "47a3640bd2f01d3c8b7267e8a1b126ae3892d6b431d9515d2247fb1c0836ceea"),
+    ("rational-convex", "--explain"): (
+        0, "1f3beca6b5c793b89bc4bc6dfcd015fed9850d709d9166890e627fa46c044dac"),
+    ("rational-convex", "--json"): (
+        0, "08da061da0ac22d72e5dd9d8a912907b148e1157e7cf22c81afe577bbbc7b034"),
+    ("rational-last-step", "--explain"): (
+        1, "3a6b6b2d4358d158ab122b83000af539fbc84aa9deac3f4a974048623fc34228"),
+    ("rational-last-step", "--json"): (
+        1, "cda05eca96450ce335a0e5407a923ccbf490245d1ab12c81107dee80f2f56f79"),
 }
 
 
 @pytest.mark.parametrize("name, flag", list(LARGE_CHECK_DIGESTS))
 def test_large_check_output_is_pinned(name, flag, tmp_path, capsys):
     path = tmp_path / f"{name}.txt"
-    write_polygon_file(path, LARGE_INPUTS[name])
+    path.write_text(LARGE_INPUTS[name], encoding="utf-8")
     code = main(["check", str(path), flag])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == LARGE_CHECK_DIGESTS[name, flag]
