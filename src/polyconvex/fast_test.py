@@ -36,10 +36,13 @@ every sign, hence every verdict and every ``failed`` id.  With Dx and Dy the
 lcm of each axis's denominators, each scaled coordinate is an int, and int
 products are far cheaper than Fraction ones, which reduce by a gcd at every
 operation.  The scan reads the scaled coordinates lazily, so no copy of the
-polygon is made.  A guard keeps the unscaled input when an lcm grows past
-twice the bits of the input's longest denominator and numerator together
-(pairwise-coprime denominators, say), since the scaled values would then be
-longer than the fractions they replace.  All-int input skips all of this.
+polygon is made.  A guard reads each axis's distinct denominators and folds
+their lcm one at a time.  It keeps the unscaled input at the first partial
+lcm with more than twice the bits of that axis's longest denominator and
+numerator together (pairwise-coprime denominators, say), since the scaled
+values would then be longer than the fractions they replace; so such input
+is refused after a few lcm steps, not after all of them.  All-int input
+skips all of this.
 
 ``condition_value`` stays on raw ``delta`` products of the unscaled input,
 as a check that shares neither the kernel nor its scaling.
@@ -158,30 +161,24 @@ def is_strictly_convex(vertices: Sequence[Point], *, explain: bool = False,
     return ConvexityReport(failed is None, n, failed, table)
 
 
-# Coordinates per math.lcm call: few enough that input the guard refuses,
-# such as pairwise-coprime denominators, is refused after a short prefix.
-_LCM_CHUNK = 256
+def _common_denominator(vertices: Sequence[Point], axis: int) -> int:
+    """The lcm of the denominators on one axis, or 0 past the guard.
 
-
-def _common_denominator(values) -> int:
-    """The lcm of the denominators of ``values``, or 0 past the guard.
-
-    Gives up, returning 0, once the lcm has more than twice as many bits as
-    the largest denominator and the largest |numerator| read so far
-    together.  Within that bound a scaled coordinate is at most about three
-    times as long as the longest input value.
+    Gives up, returning 0, at the first partial lcm of the axis's distinct
+    denominators with more than twice as many bits as the axis's largest
+    denominator and largest |numerator| together.  Within that bound a
+    scaled coordinate is at most about three times as long as the longest
+    input value.
     """
+    coordinate = itemgetter(axis)
+    dens = set(map(attrgetter("denominator"), map(coordinate, vertices)))
+    num = max(map(abs, map(attrgetter("numerator"),
+                           map(coordinate, vertices))))
+    bound = 2 * (max(dens).bit_length() + num.bit_length())
     lcm = 1
-    den_bits = num_bits = 0
-    values = iter(values)
-    while chunk := list(itertools.islice(values, _LCM_CHUNK)):
-        dens = list(map(attrgetter("denominator"), chunk))
-        lcm = math.lcm(lcm, *dens)
-        den_bits = max(den_bits, max(dens).bit_length())
-        num_bits = max(num_bits,
-                       max(map(abs, map(attrgetter("numerator"),
-                                        chunk))).bit_length())
-        if lcm.bit_length() > 2 * (den_bits + num_bits):
+    for den in dens:
+        lcm = math.lcm(lcm, den)
+        if lcm.bit_length() > bound:
             return 0
     return lcm
 
@@ -192,8 +189,8 @@ def _integer_points(vertices: Sequence[Point]):
     with x scaled by Dx and y by Dy into ints (see the module docstring)."""
     if require_exact(vertices) <= {int}:
         return vertices
-    dx = _common_denominator(map(itemgetter(0), vertices))
-    dy = dx and _common_denominator(map(itemgetter(1), vertices))
+    dx = _common_denominator(vertices, 0)
+    dy = dx and _common_denominator(vertices, 1)
     if not dy:
         return vertices
     return ((x.numerator * (dx // x.denominator),

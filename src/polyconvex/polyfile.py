@@ -146,13 +146,13 @@ def format_polygon(vertices: Sequence[Point]) -> str:
 
 
 def read_polygon_file(path) -> tuple:
-    data = Path(path).read_bytes()
+    # Decoded straight from the read, so the bytes are freed before parsing.
     try:
-        text = data.decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         # Number lines as parse_polygon does.  The "?" stands in for the bad
         # byte, so a prefix that ends in a line break counts the line after.
-        prefix = data[:exc.start].decode("utf-8")
+        prefix = exc.object[:exc.start].decode("utf-8")
         line_number = len((prefix + "?").splitlines())
         raise PolygonParseError(f"not UTF-8 text: {exc.reason} at byte "
                                 f"{exc.start}", line_number) from None

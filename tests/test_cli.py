@@ -134,6 +134,39 @@ def test_check_oracle_skipped_below_three_vertices(tmp_path, capsys):
     assert "skipped" in capsys.readouterr().out
 
 
+def test_check_json_oracle_adds_the_oracle_object(square_file, tmp_path,
+                                                  capsys):
+    assert main(["check", square_file, "--json", "--oracle"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["oracle"] == {"sidedness": True, "hull": True,
+                                 "agree": True}
+    segment = tmp_path / "segment.txt"
+    segment.write_text("0 0\n1 0\n")
+    assert main(["check", str(segment), "--json", "--oracle"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["oracle"] == {"skipped": "oracles need n >= 3, got 2"}
+
+
+def test_check_oracle_disagreement_exits_3(square_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "hull_oracle", lambda polygon: False)
+    assert main(["check", square_file, "--oracle"]) == 3
+    assert capsys.readouterr().out == (
+        "strictly-convex\n"
+        "oracles: sidedness=true hull=false -> DISAGREE\n")
+    assert main(["check", square_file, "--oracle", "--json"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] is True
+    assert payload["oracle"] == {"sidedness": True, "hull": False,
+                                 "agree": False}
+
+
+def test_check_rejects_collinear_triangle_without_condition(tmp_path, capsys):
+    path = tmp_path / "collinear.txt"
+    path.write_text("0 0\n1 0\n2 0\n")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out == "not-strictly-convex\n"
+
+
 def test_generate_convex_round_trip(tmp_path, capsys):
     out = tmp_path / "convex8.txt"
     assert main(["generate", "--mode", "convex", "--n", "8",

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from decimal import Decimal
@@ -478,3 +479,23 @@ def test_scaling_guard_keeps_distinct_prime_denominators_unscaled():
                    for t, k in zip(range(n), itertools.cycle(range(1, 9))))
     assert fast_test._integer_points(dyadic) is not dyadic
     assert is_strictly_convex(dyadic).verdict
+
+
+def test_scaling_guard_refuses_after_a_few_coprime_denominators(monkeypatch):
+    # x = t + 1/(2^p - 1) for the first 256 primes p above 11,000: each
+    # denominator is about 11,000 bits long, and the lcm of all 256 has about
+    # 2.8 million bits and takes seconds to compute.  The guard must stop at
+    # the first partial lcm past its bound, a few denominators in.
+    primes = [p for p in _primes(1600) if p > 11000][:256]
+    poly = tuple(P(t + Fraction(1, 2**p - 1), t * t)
+                 for t, p in enumerate(primes))
+    lcm = math.lcm
+    denominators = []
+
+    def counting_lcm(partial, *dens):
+        denominators.extend(dens)
+        return lcm(partial, *dens)
+
+    monkeypatch.setattr(math, "lcm", counting_lcm)
+    assert fast_test._integer_points(poly) is poly
+    assert len(denominators) <= 8, len(denominators)

@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -54,6 +55,29 @@ def test_extension_plants_its_arc_pattern_on_any_quasi_strict_input(
         polygon, omega):
     bigger = generator._arc_step(polygon, omega)
     assert bigger[:len(polygon)] == polygon
+    assert is_quasi_strict(bigger)
+    held = conditions_at_new_index(bigger)
+    assert held == {family: family != omega for family in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("omega", [0, 1, 2, 3])
+def test_arc_step_retries_a_smaller_eps_when_the_first_point_is_collinear(
+        omega, monkeypatch):
+    hexagon = make_strictly_convex(6)
+    # The point of the first attempt, j = 0: what _arc_step returns when
+    # every candidate is accepted.  It depends only on V0, V1, V4 and V5.
+    with monkeypatch.context() as patch:
+        patch.setattr(generator, "_keeps_quasi_strict", lambda *_: True)
+        first = generator._arc_step(hexagon, omega)[-1]
+    # Moving V2 onto the segment from V3 to that point puts the point on the
+    # line through V2 and V3.
+    v3 = hexagon[3]
+    midpoint = P(Fraction(v3.x + first.x, 2), Fraction(v3.y + first.y, 2))
+    moved = hexagon[:2] + (midpoint,) + hexagon[3:]
+    assert is_quasi_strict(moved)
+    assert not generator._keeps_quasi_strict(moved, first)
+    bigger = generator._arc_step(moved, omega)
+    assert bigger[:6] == moved and bigger[-1] != first
     assert is_quasi_strict(bigger)
     held = conditions_at_new_index(bigger)
     assert held == {family: family != omega for family in (1, 2, 3)}

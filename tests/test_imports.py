@@ -1,6 +1,6 @@
-"""No module of the package or of its tests imports a name it never uses,
-the package exports only names it has, and no private module-level function
-or constant of the package is left without a reader.
+"""No module of the package, its tests or perfbench/ imports a name it
+never uses, the package exports only names it has, and no private
+module-level function or constant of the package is left without a reader.
 
 There is no linter in the toolchain, so this stands in for its unused-import
 rule: a name bound by ``import`` or ``from ... import`` must appear as a name
@@ -17,7 +17,9 @@ import pytest
 import polyconvex
 
 PACKAGE = sorted(Path(polyconvex.__file__).parent.glob("*.py"))
-SOURCES = PACKAGE + sorted(Path(__file__).parent.glob("*.py"))
+TESTS = Path(__file__).parent
+SOURCES = (PACKAGE + sorted(TESTS.glob("*.py"))
+           + sorted((TESTS.parent / "perfbench").glob("*.py")))
 
 
 def unused_imports(source: str) -> list:
