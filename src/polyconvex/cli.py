@@ -18,7 +18,7 @@ import traceback
 from .fast_test import ConditionId, is_strictly_convex, is_strictly_convex_chain
 from .generator import make_minimality_witness, make_strictly_convex
 from .oracles import hull_oracle, strictly_convex_oracle
-from .polyfile import (MAX_DIGITS, PolygonParseError, read_polygon_file,
+from .polyfile import (MAX_DIGITS, PolygonParseError, iter_polygon,
                        write_polygon_file)
 
 # Largest `generate --n`.  With the default seed, the coordinates of
@@ -26,6 +26,9 @@ from .polyfile import (MAX_DIGITS, PolygonParseError, read_polygon_file,
 # digits; at n = 57 they reach 4,338, past what a polygon file can hold
 # (MAX_DIGITS), and each further vertex costs more to build.
 MAX_GENERATE_N = 56
+
+# Sign cells per write of a --explain row.
+_ROW_SLICE = 4096
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,21 +89,25 @@ def main(argv=None) -> int:
 
 
 def _cmd_check(args) -> int:
-    polygon = read_polygon_file(args.file)
+    # The deciders read the file as a stream; only the oracles need the
+    # vertices held.
+    vertices = iter_polygon(args.file)
+    if args.oracle:
+        vertices = tuple(vertices)
     if args.chain:
-        report = is_strictly_convex_chain(polygon)
+        report = is_strictly_convex_chain(vertices)
     else:
         # Plain check prints no signs, so it collects none.
-        report = is_strictly_convex(polygon, explain=args.explain,
+        report = is_strictly_convex(vertices, explain=args.explain,
                                     collect_signs=args.explain or args.as_json)
 
     oracle = None
     if args.oracle:
-        if len(polygon) < 3:
-            oracle = {"skipped": f"oracles need n >= 3, got {len(polygon)}"}
+        if report.n < 3:
+            oracle = {"skipped": f"oracles need n >= 3, got {report.n}"}
         else:
-            sidedness = strictly_convex_oracle(polygon)
-            hull = hull_oracle(polygon)
+            sidedness = strictly_convex_oracle(vertices)
+            hull = hull_oracle(vertices)
             oracle = {"sidedness": sidedness, "hull": hull,
                       "agree": sidedness == hull == report.verdict}
 
@@ -125,9 +132,16 @@ def _print_text_report(report, explain: bool, oracle) -> None:
     else:
         print("not-strictly-convex")
     if explain and report.signs is not None:
+        # Written a slice of cells at a time, so that no string of the whole
+        # row is ever built.  A full table has no empty row.
+        write = sys.stdout.write
         for kind, row in zip("abc", report.signs):
-            cells = " ".join(f"{i}={s:+d}" for i, s in enumerate(row, 2))
-            print(f"signs {kind}: {cells}")
+            write(f"signs {kind}:")
+            for start in range(0, len(row), _ROW_SLICE):
+                cells = row[start:start + _ROW_SLICE]
+                write("".join([f" {i}={s:+d}"
+                               for i, s in enumerate(cells, start + 2)]))
+            write("\n")
     if oracle is not None:
         if "skipped" in oracle:
             print(f"oracles: skipped ({oracle['skipped']})")

@@ -32,17 +32,20 @@ exactly 3(n-3)+3.
 Rational input is scanned in integers.  Scaling x by one positive integer Dx
 and y by another, Dy, is the linear map diag(Dx, Dy), of determinant
 Dx*Dy > 0: it multiplies every orientation determinant by Dx*Dy and so keeps
-every sign, hence every verdict and every ``failed`` id.  With Dx and Dy the
-lcm of each axis's denominators, each scaled coordinate is an int, and int
-products are far cheaper than Fraction ones, which reduce by a gcd at every
-operation.  The scan reads the scaled coordinates lazily, so no copy of the
-polygon is made.  A guard reads each axis's distinct denominators and folds
-their lcm one at a time.  It keeps the unscaled input at the first partial
-lcm with more than twice the bits of that axis's longest denominator and
-numerator together (pairwise-coprime denominators, say), since the scaled
-values would then be longer than the fractions they replace; so such input
-is refused after a few lcm steps, not after all of them.  All-int input
-skips all of this.
+every sign, hence every verdict and every ``failed`` id.  With Dx a multiple
+of every x denominator, and Dy of every y denominator, each scaled
+coordinate is an int, and int products are far cheaper than Fraction ones,
+which reduce by a gcd at every operation.  Dx and Dy are found as the scan
+goes, so the polygon is read once and no copy of it is made: both start at
+1, and when a denominator d does not divide Dx, Dx and the x half of the
+window, which holds every coordinate the scan still needs, are multiplied by
+d / gcd(Dx, d).  The same goes for y.  A guard keeps the numbers short: when
+a growing Dx would have more than twice the bits of the longest denominator
+and numerator that made it grow (pairwise-coprime denominators, say), the
+scaled values would be longer than the fractions they replace, so the x
+window is divided back into exact fractions and x is scanned unscaled from
+then on; such input costs a few gcd steps, not one per vertex.  An int
+coordinate costs only a type test while no Fraction has been read.
 
 ``condition_value`` stays on raw ``delta`` products of the unscaled input,
 as a check that shares neither the kernel nor its scaling.
@@ -50,17 +53,25 @@ as a check that shares neither the kernel nor its scaling.
 Base cases: every polygon with n <= 2 is strictly convex, and a triangle is
 strictly convex iff its three vertices are not collinear.
 
+The deciders take any iterable of (x, y) pairs and read it once, so a file
+can be decided as it is parsed (``polyfile.iter_polygon``).  A fail-fast
+scan stops taking determinants at the first failure but still reads a
+stream to its end, to count n and to raise on a bad point past the failure.
+
 Every decider raises TypeError on a coordinate that is not an exact rational
 (a float, say): a rounded product near a collinear triple can flip a sign.
+A Sequence is checked whole before the scan; a stream, as it is read.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
-from typing import NamedTuple, Optional, Sequence
+from fractions import Fraction
+from operator import itemgetter
+from typing import NamedTuple, Optional
 
 from .errors import InvalidConditionId
 from .geometry import Point, add_delta_evaluations, delta, require_exact
@@ -134,15 +145,16 @@ def condition_value(vertices: Sequence[Point], cond: ConditionId):
     return delta(v0, v1, cur) * delta(v0, v1, nxt)
 
 
-def _base_case(vertices: Sequence[Point], n: int) -> ConvexityReport:
+def _base_case(vertices: list) -> ConvexityReport:
     require_exact(vertices)
+    n = len(vertices)
     if n <= 2:
         return ConvexityReport(True, n)
     ok = delta(vertices[0], vertices[1], vertices[2]) != 0
     return ConvexityReport(ok, 3)
 
 
-def is_strictly_convex(vertices: Sequence[Point], *, explain: bool = False,
+def is_strictly_convex(vertices: Iterable[Point], *, explain: bool = False,
                        collect_signs: bool = True) -> ConvexityReport:
     """Decide strict convexity in one pass with O(1) auxiliary state.
 
@@ -152,57 +164,84 @@ def is_strictly_convex(vertices: Sequence[Point], *, explain: bool = False,
     scan stops at the first violated condition; ``explain=True`` keeps going
     and fills the whole sign table.  ``collect_signs=False`` skips the table
     entirely, leaving nothing but the constant-size report (the mode plain
-    ``check`` uses).
+    ``check`` uses).  ``vertices`` may be any iterable of (x, y) pairs, read
+    once: past a failure, an iterator is still read to its end, to count n
+    and check that every coordinate is exact, but no determinant is taken.
     """
-    n = len(vertices)
-    if n <= 3:
-        return _base_case(vertices, n)
-    failed, table = _scan(vertices, explain, collect_signs)
+    return _decide(vertices, explain, collect_signs)
+
+
+class _Scale:
+    """The running common denominator d of one axis (see the module
+    docstring): ``scale(value)`` gives value * d, an int, until the guard
+    refuses d; from then on values pass unscaled."""
+
+    __slots__ = ("d", "bound")
+
+    def __init__(self):
+        self.d = 1
+        # Twice the bits of the longest denominator and numerator that made d
+        # grow; None once the guard has refused.
+        self.bound = 0
+
+    def scale(self, value):
+        """(value * d, g): the window read so far must be multiplied by g to
+        stay in step with d, which is 1 unless d grew or was refused."""
+        if type(value) is int:
+            return value * self.d, 1
+        if type(value) is not Fraction:
+            require_exact(((value,),))
+        if self.bound is None:
+            return value, 1
+        numerator, denominator = value.numerator, value.denominator
+        d = self.d
+        if d % denominator:
+            g = denominator // math.gcd(d, denominator)
+            self.bound = max(self.bound, 2 * (numerator.bit_length()
+                                              + denominator.bit_length()))
+            if (d * g).bit_length() > self.bound:
+                return value, self.refuse()
+            self.d = d = d * g
+        else:
+            g = 1
+        return numerator * (d // denominator), g
+
+    def refuse(self) -> Fraction:
+        """Stop scaling: d would make the numbers longer than the fractions
+        they replace.  Returns 1/d, which turns the window back into the
+        unscaled, exact values."""
+        factor = Fraction(1, self.d)
+        self.d, self.bound = 1, None
+        return factor
+
+
+def _decide(vertices: Iterable[Point], explain: bool,
+            collect_signs: bool) -> ConvexityReport:
+    """Read ``vertices`` once: a base case for n <= 3, else the scan."""
+    sized = isinstance(vertices, Sequence)
+    if sized:
+        require_exact(vertices)
+    points = iter(vertices)
+    head = list(itertools.islice(points, 4))
+    if len(head) <= 3:
+        return _base_case(head)
+    # V0 comes last again, unscaled, so it is scaled as the window is then.
+    following = itertools.chain(head[3:], points, head[:1])
+    steps, failed, table = _scan(head[:3], following, explain, collect_signs)
+    n = len(vertices) if sized else steps + 1 + _drain(following)
+    if table is not None and len(table.a) == n - 2:
+        # a_{n-1} wraps around to V0 and enters no condition.
+        table.a.pop()
     return ConvexityReport(failed is None, n, failed, table)
 
 
-def _common_denominator(vertices: Sequence[Point], axis: int) -> int:
-    """The lcm of the denominators on one axis, or 0 past the guard.
+def _scan(head: list, following, explain: bool, collect_signs: bool):
+    """The scan kernel behind every decision path.
 
-    Gives up, returning 0, at the first partial lcm of the axis's distinct
-    denominators with more than twice as many bits as the axis's largest
-    denominator and largest |numerator| together.  Within that bound a
-    scaled coordinate is at most about three times as long as the longest
-    input value.
-    """
-    coordinate = itemgetter(axis)
-    dens = set(map(attrgetter("denominator"), map(coordinate, vertices)))
-    num = max(map(abs, map(attrgetter("numerator"),
-                           map(coordinate, vertices))))
-    bound = 2 * (max(dens).bit_length() + num.bit_length())
-    lcm = 1
-    for den in dens:
-        lcm = math.lcm(lcm, den)
-        if lcm.bit_length() > bound:
-            return 0
-    return lcm
-
-
-def _integer_points(vertices: Sequence[Point]):
-    """The vertices to scan: ``vertices`` itself if every coordinate is an
-    int or the guard refuses to scale, else an iterator over the vertices
-    with x scaled by Dx and y by Dy into ints (see the module docstring)."""
-    if require_exact(vertices) <= {int}:
-        return vertices
-    dx = _common_denominator(vertices, 0)
-    dy = dx and _common_denominator(vertices, 1)
-    if not dy:
-        return vertices
-    return ((x.numerator * (dx // x.denominator),
-             y.numerator * (dy // y.denominator)) for x, y in vertices)
-
-
-def _scan(vertices: Sequence[Point], explain: bool, collect_signs: bool):
-    """The scan kernel behind every decision path; needs n >= 4.
-
-    Step i (2 <= i <= n-1) works on coordinates translated to V0: p = V[i-1],
-    c = V[i], q = V[i+1] (V0 at the last step, i.e. the origin), with
-    u = V1 - V0 and the edges e = c - p, f = q - c.  Then
+    ``head`` holds V0, V1 and V2; ``following`` yields V3 .. V[n-1] and then
+    V0 again.  Step i (2 <= i <= n-1) works on coordinates translated to V0:
+    p = V[i-1], c = V[i], q = V[i+1] (V0 at the last step, i.e. the origin),
+    with u = V1 - V0 and the edges e = c - p, f = q - c.  Then
 
         a_i = e x f     (= delta(V[i-1], V[i], V[i+1]))
         b_i = p x c     (= delta(V0, V[i-1], V[i]))
@@ -211,16 +250,22 @@ def _scan(vertices: Sequence[Point], explain: bool, collect_signs: bool):
     and the window slides by c -> p, q -> c, f -> e, so each coordinate
     difference is taken once.  The determinants are evaluated inline rather
     than through geometry.delta; their count, three per step, is added to the
-    delta_evaluations() counter once on exit.  The points come from
-    ``_integer_points``, in one pass.  Returns (failed, table).
+    delta_evaluations() counter once on exit.  Once a vertex with a
+    non-int coordinate is read, every vertex goes through one _Scale per
+    axis, and the window (V0, u, p, c, e) is multiplied by each factor they
+    return.  Returns (i, failed, table) for the last step i taken.
     """
-    n = len(vertices)
-    points = iter(_integer_points(vertices))
-    x0, y0 = next(points)
-    ux, uy = next(points)
+    scaled = any(type(v) is not int for point in head for v in point)
+    sx, sy = _Scale(), _Scale()
+    if scaled:
+        # Let d grow over the first three vertices, then scale them by it.
+        for x, y in head:
+            sx.scale(x)
+            sy.scale(y)
+        head = [(sx.scale(x)[0], sy.scale(y)[0]) for x, y in head]
+    (x0, y0), (ux, uy), (cx, cy) = head
     ux -= x0
     uy -= y0
-    cx, cy = next(points)
     cx -= x0
     cy -= y0
     px, py = ux, uy
@@ -228,8 +273,23 @@ def _scan(vertices: Sequence[Point], explain: bool, collect_signs: bool):
     table = SignTable([], [], []) if collect_signs else None
     failed = None
     prev_a = prev_b = prev_c = 0
-    following = itertools.chain(points, ((x0, y0),))
-    for i, (qx, qy) in zip(range(2, n), following):
+    for i, (qx, qy) in enumerate(following, 2):
+        if scaled or type(qx) is not int or type(qy) is not int:
+            scaled = True
+            qx, g = sx.scale(qx)
+            if g != 1:
+                x0 *= g
+                ux *= g
+                px *= g
+                cx *= g
+                ex *= g
+            qy, g = sy.scale(qy)
+            if g != 1:
+                y0 *= g
+                uy *= g
+                py *= g
+                cy *= g
+                ey *= g
         qx -= x0
         qy -= y0
         fx, fy = qx - cx, qy - cy
@@ -256,13 +316,19 @@ def _scan(vertices: Sequence[Point], explain: bool, collect_signs: bool):
         prev_a, prev_b, prev_c = a_i, b_i, c_i
         px, py, cx, cy, ex, ey = cx, cy, qx, qy, fx, fy
     add_delta_evaluations(3 * (i - 1))
-    if table is not None and len(table.a) == n - 2:
-        # a_{n-1} wraps around to V0 and enters no condition.
-        table.a.pop()
-    return failed, table
+    return i, failed, table
 
 
-def is_strictly_convex_chain(vertices: Sequence[Point]) -> ConvexityReport:
+def _drain(points) -> int:
+    """Read the points left after a fail-fast stop, so that a malformed or
+    inexact one still raises, and return how many there were."""
+    read = itertools.count()
+    # zip draws each point before its number, so ``read`` counts the points.
+    require_exact(map(itemgetter(0), zip(points, read)))
+    return next(read)
+
+
+def is_strictly_convex_chain(vertices: Iterable[Point]) -> ConvexityReport:
     """Equality-chain variant of the decision; same verdict on every input.
 
     Computes the full sign table and accepts iff the chain a_2 .. a_{n-2},
@@ -277,12 +343,11 @@ def is_strictly_convex_chain(vertices: Sequence[Point]) -> ConvexityReport:
       i-1: every a_j and every earlier b_j equals s by then, so
       a_{i-1} * b_{i-1} = s^2 > 0.
     """
-    n = len(vertices)
-    if n <= 3:
-        return _base_case(vertices, n)
-    table = _scan(vertices, True, True)[1]
-    failed = _first_break(table)
-    return ConvexityReport(failed is None, n, failed, table)
+    report = _decide(vertices, True, True)
+    if report.signs is None:
+        return report
+    failed = _first_break(report.signs)
+    return ConvexityReport(failed is None, report.n, failed, report.signs)
 
 
 def _first_break(table: SignTable) -> Optional[ConditionId]:

@@ -15,14 +15,27 @@ in plain digits, the shapes that fill real files, are read with int() and
 reduced by at most one Fraction(n, d); every other token goes to Fraction's
 own parser, so what a token means and which error it raises never depend on
 the shortcut.
+
+``iter_polygon`` streams a file as (x, y) pairs in one pass, holding one
+block of it at a time.  It reads 64 KB binary blocks and cuts each after its
+last b"\n", so a block holds whole lines and, since no UTF-8 multibyte
+sequence contains that byte, decodes on its own.  A block made only of lines
+of two plain integers (``-?[0-9]{1,MAX_DIGITS}``, separated by spaces or
+tabs, with an optional "\r") is split and read by int() with no per-line
+code; any other block is decoded and read line by line by the same code as
+``parse_polygon``, so values, messages and line numbers never depend on the
+blocks.  Errors come in file order: a bad line ahead of a non-UTF-8 byte is
+reported first.  ``parse_polygon`` and ``read_polygon_file`` give the
+vertices as a tuple of Points.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .geometry import Point
 
@@ -120,18 +133,21 @@ def parse_scalar(token: str, line_number: int | None = None):
     return value.numerator if value.denominator == 1 else value
 
 
-def parse_polygon(text: str) -> tuple:
-    vertices = []
-    for line_number, raw in enumerate(text.splitlines(), start=1):
+def _parse_lines(lines, line_number: int):
+    """The (x, y) pairs of ``lines``, the first of which is ``line_number``."""
+    for line_number, raw in enumerate(lines, line_number):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
             continue
         if len(parts) != 2:
             raise PolygonParseError(
                 f"expected two coordinates, got {len(parts)}", line_number)
-        vertices.append(Point(parse_scalar(parts[0], line_number),
-                              parse_scalar(parts[1], line_number)))
-    return tuple(vertices)
+        yield (parse_scalar(parts[0], line_number),
+               parse_scalar(parts[1], line_number))
+
+
+def parse_polygon(text: str) -> tuple:
+    return tuple(itertools.starmap(Point, _parse_lines(text.splitlines(), 1)))
 
 
 def format_scalar(value) -> str:
@@ -145,20 +161,96 @@ def format_polygon(vertices: Sequence[Point]) -> str:
                    for x, y in vertices)
 
 
+# Bytes read at a time by iter_polygon.
+_BLOCK_SIZE = 1 << 16
+
+_BYTE_ORDER_MARK = "\ufeff".encode()
+
+# Up to 128 lines of two plain integers, the whole of a typical file.  The
+# digit caps keep MAX_DIGITS whatever Python's int-string limit, and the last
+# line of a file may lack its "\n".  The regex engine keeps about 670 bytes
+# of backtracking state per line matched: one match of a whole 64 KB block
+# grew it to 3.4 MB, 128 lines stay under 100 KB.
+_INTEGER = rb"-?[0-9]{1,%d}" % MAX_DIGITS
+_PLAIN_LINES = re.compile(rb"(?:[ \t]*%s[ \t]+%s[ \t]*\r?(?:\n|\Z)){1,128}"
+                          % (_INTEGER, _INTEGER))
+
+
+def _is_plain(block: bytes) -> bool:
+    """Whether every line of the block is two plain integers."""
+    start = 0
+    while start < len(block):
+        match = _PLAIN_LINES.match(block, start)
+        if match is None:
+            return False
+        start = match.end()
+    return True
+
+
+def _blocks(path):
+    """Each block of the file, cut after its last b"\n", with its byte
+    offset."""
+    with open(path, "rb") as file:
+        offset = 0
+        pending = []  # the bytes read since the last b"\n"
+        while chunk := file.read(_BLOCK_SIZE):
+            cut = chunk.rfind(b"\n") + 1
+            if cut:
+                block = b"".join(pending) + chunk[:cut]
+                yield offset, block
+                offset += len(block)
+                pending.clear()
+                chunk = chunk[cut:]
+            pending.append(chunk)
+        if rest := b"".join(pending):
+            yield offset, rest
+
+
+def _block_pairs(path):
+    """An iterable of (x, y) pairs per block, in file order."""
+    line_number = 1
+    for offset, block in _blocks(path):
+        if offset == 0 and block.startswith(_BYTE_ORDER_MARK):
+            # Only a mark at byte 0 is dropped; offsets still count it.
+            block = block[len(_BYTE_ORDER_MARK):]
+            offset = len(_BYTE_ORDER_MARK)
+        if _is_plain(block):
+            try:
+                values = list(map(int, block.split()))
+            except ValueError:
+                # A lowered int-string limit: parse_scalar decides.
+                pass
+            else:
+                line_number += len(values) // 2
+                values = iter(values)
+                yield zip(values, values)
+                continue
+        try:
+            lines = block.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            # The lines before the bad byte's line come first.  The "?"
+            # stands in for the bad byte, so a prefix that ends in a line
+            # break counts the line after.
+            lines = (block[:exc.start].decode("utf-8") + "?").splitlines()
+            yield _parse_lines(lines[:-1], line_number)
+            raise PolygonParseError(
+                f"not UTF-8 text: {exc.reason} at byte {offset + exc.start}",
+                line_number + len(lines) - 1) from None
+        yield _parse_lines(lines, line_number)
+        line_number += len(lines)
+
+
+def iter_polygon(path) -> Iterator[tuple]:
+    """The vertices of a polygon file as (x, y) pairs, read in one pass.
+
+    The file is opened at the first pair asked for; an error, a parse error
+    or OSError, is raised when the iteration reaches it.
+    """
+    return itertools.chain.from_iterable(_block_pairs(path))
+
+
 def read_polygon_file(path) -> tuple:
-    # Decoded straight from the read, so the bytes are freed before parsing.
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # Number lines as parse_polygon does.  The "?" stands in for the bad
-        # byte, so a prefix that ends in a line break counts the line after.
-        prefix = exc.object[:exc.start].decode("utf-8")
-        line_number = len((prefix + "?").splitlines())
-        raise PolygonParseError(f"not UTF-8 text: {exc.reason} at byte "
-                                f"{exc.start}", line_number) from None
-    # Dropped here rather than by the utf-8-sig codec, whose error offsets
-    # would not count the mark's three bytes.
-    return parse_polygon(text.removeprefix("\ufeff"))
+    return tuple(itertools.starmap(Point, iter_polygon(path)))
 
 
 def write_polygon_file(path, vertices: Sequence[Point]) -> None:

@@ -79,6 +79,19 @@ def test_check_huge_exponent_exits_2(token, tmp_path, capsys):
     assert "line 3: exponent beyond" in captured.err
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",), ("--explain",),
+                                   ("--chain",)])
+def test_check_reads_past_a_failure_to_a_malformed_last_line(flags, tmp_path,
+                                                             capsys):
+    # C1 fails at i = 2, long before the bad line.
+    path = tmp_path / "bad.txt"
+    path.write_text(format_polygon(lifted_parabola(8, 2)) + "1 x\n")
+    assert main(["check", str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 9: bad coordinate 'x'" in captured.err
+
+
 def test_check_missing_file_exits_2(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.txt")]) == 2
 
@@ -257,6 +270,42 @@ def test_file_format_ignores_a_lowered_int_string_limit(tmp_path):
     assert (done.returncode, done.stdout) == (0, "strictly-convex\n")
 
 
+def test_integer_past_the_digit_cap_exits_2_under_a_lifted_limit(tmp_path):
+    # Every other line of the file is a plain integer pair, read by the block
+    # reader's fast path; the cap holds there too.
+    for digits, code in ((4300, 0), (4301, 2)):
+        path = tmp_path / f"{digits}.txt"
+        path.write_text(f"0 0\n1 0\n{'1' * digits} 1\n")
+        done = run_cli_under_int_string_limit("0", "check", str(path))
+        assert done.returncode == code, done.stderr
+    assert "line 3: bad coordinate" in done.stderr
+
+
+MEASURE_CHILD_RSS = """
+import resource, subprocess, sys
+done = subprocess.run(sys.argv[1:], capture_output=True, text=True)
+print(done.returncode, done.stdout.strip(),
+      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_check_streams_a_large_file_in_small_memory(tmp_path):
+    # Reading the whole file first peaked at 61 MB here; the stream holds
+    # one 64 KB block.  A process of its own runs the check, so that no
+    # other child of the test run counts toward the peak.
+    path = tmp_path / "parabola.txt"
+    path.write_text(format_polygon(parabola_polygon(2 * 10**5)))
+    src = str(Path(cli.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", MEASURE_CHILD_RSS, sys.executable, "-m",
+         "polyconvex", "check", str(path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True)
+    code, verdict, peak_kb = done.stdout.split()
+    assert (code, verdict) == ("0", "strictly-convex")
+    assert int(peak_kb) <= 32 * 1024, peak_kb
+
+
 def test_main_restores_a_lowered_int_string_limit(square_file, capsys):
     before = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
@@ -271,7 +320,7 @@ def test_unexpected_error_exits_4_with_traceback(square_file, monkeypatch,
                                                 capsys):
     def broken(path):
         raise RuntimeError("broken reader")
-    monkeypatch.setattr(cli, "read_polygon_file", broken)
+    monkeypatch.setattr(cli, "iter_polygon", broken)
     assert main(["check", square_file]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -401,3 +450,15 @@ def test_large_check_output_is_pinned(name, flag, tmp_path, capsys):
     code = main(["check", str(path), flag])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == LARGE_CHECK_DIGESTS[name, flag]
+
+
+@pytest.mark.parametrize("name", ["convex", "mid-scan", "rational-last-step"])
+def test_explain_rows_written_in_slices_keep_their_digests(name, tmp_path,
+                                                           monkeypatch, capsys):
+    # The pinned rows hold fewer cells than one slice; cut them into many.
+    monkeypatch.setattr(cli, "_ROW_SLICE", 7)
+    path = tmp_path / f"{name}.txt"
+    path.write_text(LARGE_INPUTS[name], encoding="utf-8")
+    code = main(["check", str(path), "--explain"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == LARGE_CHECK_DIGESTS[name, "--explain"]

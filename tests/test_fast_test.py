@@ -1,9 +1,11 @@
+import contextlib
 import itertools
 import math
 import random
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,7 @@ def test_chain_failure_is_pinned_for_every_break(name):
     report = is_strictly_convex_chain(poly)
     assert not report.verdict and report.failed == failed
     assert condition_value(poly, failed) <= 0
+    assert is_strictly_convex_chain(iter(poly)) == report
 
 
 @given(poly=small_polygons)
@@ -306,11 +309,14 @@ def test_float_coordinates_are_rejected():
     ((0.5, 0),),
     ((0, 0), (1, 0), (0, 1.0)),
     (P(0, 0), P(1, 0), P(1, 1), P(Decimal("0.1"), 1)),
+    # Past the first failure, C2 at i = 2, up to which a stream is scanned.
+    SWAPPED_SQUARE + ((0.5, 0),),
 ])
 def test_inexact_coordinates_are_rejected_at_every_size(vertices):
     for decide in (is_strictly_convex, is_strictly_convex_chain):
-        with pytest.raises(TypeError):
-            decide(vertices)
+        for given in (vertices, iter(vertices)):
+            with pytest.raises(TypeError):
+                decide(given)
 
 
 def reference_scan(vertices, explain=False, collect_signs=True):
@@ -354,11 +360,14 @@ def counted(fn, *args, **kwargs):
 
 
 def assert_kernel_matches_reference(poly):
+    """The kernel agrees with the reference on the polygon given as a tuple
+    and as a stream, in every mode."""
     for explain, collect_signs in SCAN_MODES:
         expected = counted(reference_scan, poly, explain, collect_signs)
-        got = counted(is_strictly_convex, poly, explain=explain,
-                      collect_signs=collect_signs)
-        assert got == expected, (poly, explain, collect_signs)
+        for vertices in (poly, iter(poly)):
+            got = counted(is_strictly_convex, vertices, explain=explain,
+                          collect_signs=collect_signs)
+            assert got == expected, (poly, explain, collect_signs)
 
 
 def test_kernel_matches_reference_loop_on_every_grid_4gon():
@@ -445,15 +454,69 @@ def rational_polygons(draw):
     return tuple(P(_exact(x), _exact(y)) for x, y in poly), coprime
 
 
+@contextlib.contextmanager
+def refusals(note=lambda: None):
+    """Record the scaling guard's fallback: each call of _Scale.refuse
+    appends note() to the list yielded."""
+    notes = []
+    refuse = fast_test._Scale.refuse
+
+    def recording(scale):
+        notes.append(note())
+        return refuse(scale)
+
+    with mock.patch.object(fast_test._Scale, "refuse", recording):
+        yield notes
+
+
 @given(case=rational_polygons())
 @settings(max_examples=300, deadline=None)
 def test_kernel_matches_reference_loop_on_rational_polygons(case):
     poly, coprime = case
-    has_fraction = any(isinstance(v, Fraction) for p in poly for v in p)
-    scaled = fast_test._integer_points(poly) is not poly
+    with refusals() as refused:
+        is_strictly_convex(poly, explain=True)
     # Both sides of the guard: shared denominators are scaled away, and
     # pairwise-coprime ones keep the Fraction scan.
-    assert scaled == (has_fraction and not coprime)
+    assert bool(refused) == coprime
+    assert_kernel_matches_reference(poly)
+
+
+@st.composite
+def growing_denominators(draw):
+    """Parabola n-gons (t, t^2), maybe reversed, with y nudged at each
+    vertex by r/s for s from SHARED_DENOMINATORS, so that the scale grows
+    mid-polygon, and one axis of the vertices k .. k+7 nudged by 1/m, with
+    the eight COPRIME_DENOMINATORS in a drawn order.  No seven of those
+    fit under the scaling guard, so it refuses after the head and before
+    the end."""
+    k = draw(st.integers(4, 8))
+    n = draw(st.integers(k + 9, k + 12))
+    base = [[t, t * t + Fraction(draw(st.integers(-1, 1)),
+                                 draw(st.sampled_from(SHARED_DENOMINATORS)))]
+            for t in range(n)]
+    if draw(st.booleans()):
+        base.reverse()
+    axis = draw(st.integers(0, 1))
+    dens = draw(st.permutations(COPRIME_DENOMINATORS))
+    for point, m in zip(base[k:], dens):
+        point[axis] += Fraction(draw(st.sampled_from((-1, 1))), m)
+    return tuple(P(_exact(x), _exact(y)) for x, y in base)
+
+
+@given(poly=growing_denominators())
+@settings(max_examples=100, deadline=None)
+def test_guard_refuses_mid_polygon_and_the_scan_stays_exact(poly):
+    read = []
+
+    def stream():
+        for point in poly:
+            read.append(point)
+            yield point
+
+    with refusals(lambda: len(read)) as refused:
+        report = is_strictly_convex(stream(), explain=True)
+    assert len(refused) == 1 and 4 < refused[0] < len(poly), refused
+    assert report == reference_scan(poly, explain=True)
     assert_kernel_matches_reference(poly)
 
 
@@ -471,31 +534,38 @@ def test_scaling_guard_keeps_distinct_prime_denominators_unscaled():
     n = 500
     convex = tuple(P(t, Fraction(t * t * p + 1, p))
                    for t, p in zip(range(n), _primes(n)))
-    assert fast_test._integer_points(convex) is convex
-    report = is_strictly_convex(convex, explain=True)
+    with refusals() as refused:
+        report = is_strictly_convex(convex, explain=True)
+    assert refused
     assert report.verdict and report == reference_scan(convex, explain=True)
     # The same parabola nudged by 1/2^k keeps the scaled scan.
     dyadic = tuple(P(t, Fraction(t * t * 2**k + 1, 2**k))
                    for t, k in zip(range(n), itertools.cycle(range(1, 9))))
-    assert fast_test._integer_points(dyadic) is not dyadic
-    assert is_strictly_convex(dyadic).verdict
+    with refusals() as refused:
+        assert is_strictly_convex(dyadic).verdict
+    assert not refused
 
 
 def test_scaling_guard_refuses_after_a_few_coprime_denominators(monkeypatch):
     # x = t + 1/(2^p - 1) for the first 256 primes p above 11,000: each
     # denominator is about 11,000 bits long, and the lcm of all 256 has about
-    # 2.8 million bits and takes seconds to compute.  The guard must stop at
-    # the first partial lcm past its bound, a few denominators in.
+    # 2.8 million bits and takes seconds to compute.  The guard must refuse a
+    # few denominators in, and let the rest pass unscaled.
     primes = [p for p in _primes(1600) if p > 11000][:256]
     poly = tuple(P(t + Fraction(1, 2**p - 1), t * t)
                  for t, p in enumerate(primes))
-    lcm = math.lcm
+    gcd = math.gcd
     denominators = []
 
-    def counting_lcm(partial, *dens):
-        denominators.extend(dens)
-        return lcm(partial, *dens)
+    def counting_gcd(scale, den):
+        denominators.append(den)
+        return gcd(scale, den)
 
-    monkeypatch.setattr(math, "lcm", counting_lcm)
-    assert fast_test._integer_points(poly) is poly
-    assert len(denominators) <= 8, len(denominators)
+    monkeypatch.setattr(math, "gcd", counting_gcd)
+    scale = fast_test._Scale()
+    with refusals(lambda: len(denominators)) as refused:
+        scaled = [scale.scale(x) for x, _ in poly]
+    assert len(refused) == 1 and refused[0] <= 8, refused
+    # No gcd step follows but the one that makes the 1/d factor.
+    assert len(denominators) <= refused[0] + 1
+    assert scaled[-1] == (poly[-1].x, 1)

@@ -5,19 +5,21 @@ import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyconvex
+from polyconvex import polyfile
 from polyconvex.generator import make_minimality_witness, make_strictly_convex
 from polyconvex.fast_test import ConditionId
 from polyconvex.geometry import Point
 from polyconvex.polyfile import (MAX_DIGITS, PolygonParseError, _quoted,
-                                 format_polygon, format_scalar, parse_polygon,
-                                 parse_scalar, read_polygon_file,
-                                 write_polygon_file)
+                                 format_polygon, format_scalar, iter_polygon,
+                                 parse_polygon, parse_scalar,
+                                 read_polygon_file, write_polygon_file)
 
 P = Point
 
@@ -220,13 +222,102 @@ lines = st.one_of(
 )
 
 
-@given(body=st.lists(st.tuples(lines, st.sampled_from(["\n", "\r", "\r\n"])),
-                     max_size=12))
+texts = st.lists(st.tuples(lines, st.sampled_from(["\n", "\r", "\r\n"])),
+                 max_size=12).map(lambda body: "".join(map("".join, body)))
+
+
+@given(text=texts)
 @settings(max_examples=300)
-def test_parse_polygon_matches_the_per_line_fraction_only_reference(body):
-    text = "".join(line + eol for line, eol in body)
+def test_parse_polygon_matches_the_per_line_fraction_only_reference(text):
     assert polygon_outcome(parse_polygon, text) == \
         polygon_outcome(polygon_reference, text)
+
+
+def read_in_blocks(path, size):
+    """Every pair of iter_polygon(path), read in blocks of ``size`` bytes."""
+    with mock.patch.object(polyfile, "_BLOCK_SIZE", size):
+        return tuple(iter_polygon(path))
+
+
+@pytest.fixture(scope="module")
+def scratch_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("blocks") / "polygon.txt"
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 64])
+@given(text=texts)
+@settings(max_examples=100)
+def test_iter_polygon_matches_the_reference_at_any_block_size(scratch_path,
+                                                              size, text):
+    scratch_path.write_bytes(text.encode("utf-8"))
+    assert polygon_outcome(lambda _: read_in_blocks(scratch_path, size),
+                           text) == polygon_outcome(polygon_reference, text)
+
+
+# Each file's first error, as reading the whole file before parsing it gave
+# it, wherever a block boundary falls.
+BAD_BYTE_FILES = {
+    "LF": (b"0 0\n1 0\n\xff 1\n",
+           "line 3: not UTF-8 text: invalid start byte at byte 8"),
+    "CRLF-after-mark": (b"\xef\xbb\xbf0 0\r\n1 0\r\n\xff 1\r\n",
+                        "line 3: not UTF-8 text: invalid start byte at byte 13"),
+    "mid-line": (b"0 0\n1 \xc3\xa9\xff\n",
+                 "line 2: not UTF-8 text: invalid start byte at byte 8"),
+    "at-end": (b"0 0\n1 0\n\xe2\x82",
+               "line 3: not UTF-8 text: unexpected end of data at byte 8"),
+}
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 8, 9, 64, 1 << 16])
+@pytest.mark.parametrize("name", BAD_BYTE_FILES)
+def test_bad_byte_past_a_block_boundary_keeps_its_offset_and_line(
+        tmp_path, name, size):
+    data, message = BAD_BYTE_FILES[name]
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(PolygonParseError) as err:
+        read_in_blocks(path, size)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 64])
+def test_errors_come_in_file_order(tmp_path, size):
+    # A bad token ahead of a bad byte in the same block is reported first.
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"0 0\n1 x\n\xff 1\n")
+    with pytest.raises(PolygonParseError) as err:
+        read_in_blocks(path, size)
+    assert str(err.value) == "line 2: bad coordinate 'x'"
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 64])
+def test_byte_order_mark_is_dropped_only_at_byte_0(tmp_path, size):
+    mark = "\ufeff".encode()
+    path = tmp_path / "bom.txt"
+    path.write_bytes(mark + b"0 0\n1 0\n")
+    assert read_in_blocks(path, size) == ((0, 0), (1, 0))
+    # At size 4 the second block starts with this mark.
+    path.write_bytes(b"0 0\n" + mark + b"1 0\n")
+    with pytest.raises(PolygonParseError) as err:
+        read_in_blocks(path, size)
+    assert str(err.value) == "line 2: bad coordinate '\\ufeff1'"
+
+
+def test_integers_the_block_reader_skips_are_read_by_parse_scalar(tmp_path):
+    # One past the digit cap leaves the plain-integer fast path, and so,
+    # under a lowered int-string limit, does one that int() refuses.
+    path = tmp_path / "long.txt"
+    limit = sys.get_int_max_str_digits()
+    for digits, lowered in ((MAX_DIGITS + 1, limit), (641, 640)):
+        text = f"0 0\n1 -{'7' * digits}\n2 4\n"
+        path.write_text(text)
+        sys.set_int_max_str_digits(lowered)
+        try:
+            streamed = polygon_outcome(lambda _: read_polygon_file(path), text)
+            assert streamed == polygon_outcome(parse_polygon, text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert streamed[:1] == ("error",) and streamed[2] == 2
 
 
 @pytest.mark.parametrize("line", ["{t} {s}", "-{t}/7 {t}.{s}"],
