@@ -22,8 +22,8 @@ from .geometry import (Point, Polygon, Scalar, delta, delta_evaluations,
                        sign_of)
 from .oracles import (convex_hull, hull_oracle, matches_hull_order,
                       strictly_convex_oracle)
-from .polyfile import (PolygonParseError, format_polygon, iter_polygon,
-                       parse_polygon, read_polygon_file, write_polygon_file)
+from .polyfile import (PolygonParseError, format_polygon, parse_polygon,
+                       read_polygon_file, write_polygon_file)
 from .predicates import is_quasi_strict, is_strict, strictly_one_side
 
 __version__ = "0.1.0"
@@ -35,7 +35,7 @@ __all__ = [
     "TooFewVertices", "condition_value", "convex_hull", "delta",
     "delta_evaluations", "format_polygon", "hull_oracle",
     "is_quasi_strict", "is_strict", "is_strictly_convex",
-    "is_strictly_convex_chain", "iter_polygon", "make_minimality_witness",
+    "is_strictly_convex_chain", "make_minimality_witness",
     "make_strictly_convex", "matches_hull_order", "parabola_polygon",
     "parse_polygon", "random_polygon", "read_polygon_file", "sign_of",
     "strictly_convex_oracle", "strictly_one_side", "write_polygon_file",

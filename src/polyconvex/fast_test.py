@@ -55,12 +55,12 @@ strictly convex iff its three vertices are not collinear.
 
 The deciders take any iterable of (x, y) pairs and read it once, so a file
 can be decided as it is parsed (``polyfile.iter_polygon``).  A fail-fast
-scan stops taking determinants at the first failure but still reads a
-stream to its end, to count n and to raise on a bad point past the failure.
+scan stops taking determinants at the first failure but still reads the
+input to its end, to count n and to raise on a bad point past the failure.
 
 Every decider raises TypeError on a coordinate that is not an exact rational
 (a float, say): a rounded product near a collinear triple can flip a sign.
-A Sequence is checked whole before the scan; a stream, as it is read.
+Coordinates are checked as they are read, in a Sequence as in a stream.
 """
 
 from __future__ import annotations
@@ -165,10 +165,21 @@ def is_strictly_convex(vertices: Iterable[Point], *, explain: bool = False,
     and fills the whole sign table.  ``collect_signs=False`` skips the table
     entirely, leaving nothing but the constant-size report (the mode plain
     ``check`` uses).  ``vertices`` may be any iterable of (x, y) pairs, read
-    once: past a failure, an iterator is still read to its end, to count n
-    and check that every coordinate is exact, but no determinant is taken.
+    once: past a failure it is still read to its end, to count n and check
+    that every coordinate is exact, but no determinant is taken.
     """
-    return _decide(vertices, explain, collect_signs)
+    points = iter(vertices)
+    head = list(itertools.islice(points, 4))
+    if len(head) <= 3:
+        return _base_case(head)
+    # V0 comes last again, unscaled, so it is scaled as the window is then.
+    following = itertools.chain(head[3:], points, head[:1])
+    steps, failed, table = _scan(head[:3], following, explain, collect_signs)
+    n = steps + 1 + _drain(following)
+    if table is not None and len(table.a) == n - 2:
+        # a_{n-1} wraps around to V0 and enters no condition.
+        table.a.pop()
+    return ConvexityReport(failed is None, n, failed, table)
 
 
 class _Scale:
@@ -213,26 +224,6 @@ class _Scale:
         factor = Fraction(1, self.d)
         self.d, self.bound = 1, None
         return factor
-
-
-def _decide(vertices: Iterable[Point], explain: bool,
-            collect_signs: bool) -> ConvexityReport:
-    """Read ``vertices`` once: a base case for n <= 3, else the scan."""
-    sized = isinstance(vertices, Sequence)
-    if sized:
-        require_exact(vertices)
-    points = iter(vertices)
-    head = list(itertools.islice(points, 4))
-    if len(head) <= 3:
-        return _base_case(head)
-    # V0 comes last again, unscaled, so it is scaled as the window is then.
-    following = itertools.chain(head[3:], points, head[:1])
-    steps, failed, table = _scan(head[:3], following, explain, collect_signs)
-    n = len(vertices) if sized else steps + 1 + _drain(following)
-    if table is not None and len(table.a) == n - 2:
-        # a_{n-1} wraps around to V0 and enters no condition.
-        table.a.pop()
-    return ConvexityReport(failed is None, n, failed, table)
 
 
 def _scan(head: list, following, explain: bool, collect_signs: bool):
@@ -343,7 +334,7 @@ def is_strictly_convex_chain(vertices: Iterable[Point]) -> ConvexityReport:
       i-1: every a_j and every earlier b_j equals s by then, so
       a_{i-1} * b_{i-1} = s^2 > 0.
     """
-    report = _decide(vertices, True, True)
+    report = is_strictly_convex(vertices, explain=True)
     if report.signs is None:
         return report
     failed = _first_break(report.signs)

@@ -63,12 +63,12 @@ def add_delta_evaluations(count: int) -> None:
 def require_exact(vertices) -> None:
     """Raise TypeError unless every coordinate is an int or a Fraction.
 
-    Every decider calls this on a Sequence before it reads it; the linear
-    deciders check a stream's coordinates as they read them, calling this
-    on any that is neither an int nor a Fraction.  Floats would decide signs
-    with rounded arithmetic, and so would Decimal, which rounds each product
-    to its context precision; convert such values exactly with
-    fractions.Fraction first.  The type scan runs in C.
+    The oracles call this on their whole input; the linear deciders check
+    coordinates as they read them, calling this on any that is neither an
+    int nor a Fraction, and on the points left after a fail-fast stop.
+    Floats would decide signs with rounded arithmetic, and so would Decimal,
+    which rounds each product to its context precision; convert such values
+    exactly with fractions.Fraction first.  The type scan runs in C.
     """
     for kind in set(map(type, itertools.chain.from_iterable(vertices))):
         if not issubclass(kind, numbers.Rational):

@@ -469,15 +469,31 @@ def refusals(note=lambda: None):
         yield notes
 
 
+@contextlib.contextmanager
+def fraction_arithmetic():
+    """Record each Fraction sum, difference or product made in the block:
+    none once every coordinate the scan works on is a scaled int."""
+    calls = []
+    with contextlib.ExitStack() as stack:
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__"):
+            def counting(a, b, op=getattr(Fraction, name), name=name):
+                calls.append(name)
+                return op(a, b)
+
+            stack.enter_context(mock.patch.object(Fraction, name, counting))
+        yield calls
+
+
 @given(case=rational_polygons())
 @settings(max_examples=300, deadline=None)
 def test_kernel_matches_reference_loop_on_rational_polygons(case):
     poly, coprime = case
-    with refusals() as refused:
+    with refusals() as refused, fraction_arithmetic() as arithmetic:
         is_strictly_convex(poly, explain=True)
-    # Both sides of the guard: shared denominators are scaled away, and
-    # pairwise-coprime ones keep the Fraction scan.
-    assert bool(refused) == coprime
+    # Both sides of the guard: shared denominators are scaled away, so the
+    # scan is all ints, and pairwise-coprime ones keep the Fraction scan.
+    assert bool(arithmetic) == bool(refused) == coprime
     assert_kernel_matches_reference(poly)
 
 
@@ -534,16 +550,16 @@ def test_scaling_guard_keeps_distinct_prime_denominators_unscaled():
     n = 500
     convex = tuple(P(t, Fraction(t * t * p + 1, p))
                    for t, p in zip(range(n), _primes(n)))
-    with refusals() as refused:
+    with refusals() as refused, fraction_arithmetic() as arithmetic:
         report = is_strictly_convex(convex, explain=True)
-    assert refused
+    assert refused and arithmetic
     assert report.verdict and report == reference_scan(convex, explain=True)
     # The same parabola nudged by 1/2^k keeps the scaled scan.
     dyadic = tuple(P(t, Fraction(t * t * 2**k + 1, 2**k))
                    for t, k in zip(range(n), itertools.cycle(range(1, 9))))
-    with refusals() as refused:
+    with refusals() as refused, fraction_arithmetic() as arithmetic:
         assert is_strictly_convex(dyadic).verdict
-    assert not refused
+    assert not refused and not arithmetic
 
 
 def test_scaling_guard_refuses_after_a_few_coprime_denominators(monkeypatch):
