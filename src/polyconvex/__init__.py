@@ -18,8 +18,7 @@ from .fast_test import (ConditionId, ConvexityReport, SignTable,
                         is_strictly_convex_chain)
 from .generator import (DEFAULT_SEED_TRIANGLE, make_minimality_witness,
                         make_strictly_convex, parabola_polygon, random_polygon)
-from .geometry import (Point, Polygon, Scalar, delta, delta_evaluations,
-                       sign_of)
+from .geometry import Point, Scalar, delta, delta_evaluations, sign_of
 from .oracles import (convex_hull, hull_oracle, matches_hull_order,
                       strictly_convex_oracle)
 from .polyfile import (PolygonParseError, format_polygon, parse_polygon,
@@ -31,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConditionId", "ConvexityReport", "DEFAULT_SEED_TRIANGLE",
     "ExhaustedEpsilonBudget", "InvalidConditionId", "NotQuasiStrictInput",
-    "Point", "Polygon", "PolygonParseError", "Scalar", "SignTable",
+    "Point", "PolygonParseError", "Scalar", "SignTable",
     "TooFewVertices", "condition_value", "convex_hull", "delta",
     "delta_evaluations", "format_polygon", "hull_oracle",
     "is_quasi_strict", "is_strict", "is_strictly_convex",

@@ -27,8 +27,9 @@ from .polyfile import (MAX_DIGITS, PolygonParseError, iter_polygon,
 # (MAX_DIGITS), and each further vertex costs more to build.
 MAX_GENERATE_N = 56
 
-# Sign cells per write of a --explain row.
+# Sign cells per write of a --explain row, and the text after "i" in a cell.
 _ROW_SLICE = 4096
+_SIGN_TEXT = {1: "=+1", 0: "=+0", -1: "=-1"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -139,7 +140,7 @@ def _print_text_report(report, explain: bool, oracle) -> None:
             write(f"signs {kind}:")
             for start in range(0, len(row), _ROW_SLICE):
                 cells = row[start:start + _ROW_SLICE]
-                write("".join([f" {i}={s:+d}"
+                write("".join([f" {i}{_SIGN_TEXT[s]}"
                                for i, s in enumerate(cells, start + 2)]))
             write("\n")
     if oracle is not None:

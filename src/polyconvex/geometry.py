@@ -23,8 +23,6 @@ class Point(NamedTuple):
     y: Scalar
 
 
-Polygon = tuple[Point, ...]
-
 _delta_evaluations = 0
 
 

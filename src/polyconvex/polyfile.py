@@ -17,16 +17,17 @@ own parser, so what a token means and which error it raises never depend on
 the shortcut.
 
 ``iter_polygon`` streams a file as (x, y) pairs in one pass, holding one
-block of it at a time.  It reads 64 KB binary blocks and cuts each after its
-last b"\n", so a block holds whole lines and, since no UTF-8 multibyte
-sequence contains that byte, decodes on its own.  A block made only of lines
-of two plain integers (``-?[0-9]{1,MAX_DIGITS}``, separated by spaces or
-tabs, with an optional "\r") is split and read by int() with no per-line
-code; any other block is decoded and read line by line by the same code as
-``parse_polygon``, so values, messages and line numbers never depend on the
-blocks.  Errors come in file order: a bad line ahead of a non-UTF-8 byte is
-reported first.  ``parse_polygon`` and ``read_polygon_file`` give the
-vertices as a tuple of Points.
+block of it at a time.  Each block is a 64 KB binary read followed by the
+rest of its last line, so it ends after a b"\n" or at the end of the file,
+holds whole lines and, since no UTF-8 multibyte sequence contains that byte,
+decodes on its own.  Nothing seeks, so a pipe reads like a file.  A block
+made only of lines of two plain integers (``-?[0-9]{1,MAX_DIGITS}``,
+separated by spaces or tabs, with an optional "\r") is split and read by
+int() with no per-line code; any other block is decoded and read line by
+line by the same code as ``parse_polygon``, so values, messages and line
+numbers never depend on the blocks.  Errors come in file order: a bad line
+ahead of a non-UTF-8 byte is reported first.  ``parse_polygon`` and
+``read_polygon_file`` give the vertices as a tuple of Points.
 """
 
 from __future__ import annotations
@@ -88,35 +89,25 @@ def parse_scalar(token: str, line_number: int | None = None):
                                        for run in _DIGIT_RUN.findall(token)):
         raise PolygonParseError(f"bad coordinate {_quoted(token)}",
                                 line_number)
-    # Plain integers skip the Fraction regex.  The guard keeps "p/q" and
-    # decimal tokens off the exception path.  A token the guard passes but
-    # int() rejects (a superscript digit) falls through, so Fraction alone
-    # decides what is accepted.
-    if token.isdigit() or (token[:1] == "-" and token[1:].isdigit()):
-        try:
-            return int(token)
-        except ValueError:
-            pass
-    # So do "p/q" and "a.b" in plain digits, with an optional "-" on p or a:
-    # int() reads the parts and one Fraction(n, d) reduces them.  A token this
-    # short cannot hold a value beyond the digit caps.  Any other shape, a
-    # zero denominator, or digits int() refuses falls through to Fraction,
-    # which alone decides what such a token means.
+    # Integers, "p/q" and "a.b" in plain digits, with an optional "-" on the
+    # integer, p or a, skip the Fraction regex: int() reads the parts and one
+    # Fraction(n, d) reduces them.  A token this short cannot hold a value
+    # beyond the digit caps.  Any other shape, a zero denominator, or digits
+    # int() refuses (a superscript) falls through to Fraction, which alone
+    # decides what such a token means.
     if len(token) <= MAX_DIGITS:
-        head, sep, tail = token.partition("/")
-        if not sep:
-            head, sep, tail = token.partition(".")
-        if tail.isdigit() and (head.isdigit() or (head[:1] == "-"
-                                                  and head[1:].isdigit())):
+        head, sep, tail = token.partition("/" if "/" in token else ".")
+        if head.removeprefix("-").isdigit() and (not sep or tail.isdigit()):
             try:
+                if not sep:
+                    return int(head)
                 if sep == "/":
-                    numerator, denominator = int(head), int(tail)
+                    value = Fraction(int(head), int(tail))
                 else:
-                    numerator, denominator = int(head + tail), 10 ** len(tail)
-            except ValueError:
-                denominator = 0
-            if denominator:
-                value = Fraction(numerator, denominator)
+                    value = Fraction(int(head + tail), 10 ** len(tail))
+            except (ValueError, ZeroDivisionError):
+                pass
+            else:
                 return value.numerator if value.denominator == 1 else value
     if ("e" in token or "E" in token) and _exponent_too_large(token):
         raise PolygonParseError(f"exponent beyond +-{MAX_DIGITS} in "
@@ -187,57 +178,45 @@ def _is_plain(block: bytes) -> bool:
     return True
 
 
-def _blocks(path):
-    """Each block of the file, cut after its last b"\n", with its byte
-    offset."""
-    with open(path, "rb") as file:
-        offset = 0
-        pending = []  # the bytes read since the last b"\n"
-        while chunk := file.read(_BLOCK_SIZE):
-            cut = chunk.rfind(b"\n") + 1
-            if cut:
-                block = b"".join(pending) + chunk[:cut]
-                yield offset, block
-                offset += len(block)
-                pending.clear()
-                chunk = chunk[cut:]
-            pending.append(chunk)
-        if rest := b"".join(pending):
-            yield offset, rest
-
-
 def _block_pairs(path):
     """An iterable of (x, y) pairs per block, in file order."""
     line_number = 1
-    for offset, block in _blocks(path):
-        if offset == 0 and block.startswith(_BYTE_ORDER_MARK):
-            # Only a mark at byte 0 is dropped; offsets still count it.
-            block = block[len(_BYTE_ORDER_MARK):]
-            offset = len(_BYTE_ORDER_MARK)
-        if _is_plain(block):
+    end = 0  # bytes read so far
+    with open(path, "rb") as file:
+        # The readline() completes the last line read, so a block ends after
+        # a b"\n" or at the end of the file.
+        while block := file.read(_BLOCK_SIZE) + file.readline():
+            start = end
+            end += len(block)
+            if start == 0 and block.startswith(_BYTE_ORDER_MARK):
+                # Only a mark at byte 0 is dropped; offsets still count it.
+                block = block[len(_BYTE_ORDER_MARK):]
+                start = len(_BYTE_ORDER_MARK)
+            if _is_plain(block):
+                try:
+                    values = list(map(int, block.split()))
+                except ValueError:
+                    # A lowered int-string limit: parse_scalar decides.
+                    pass
+                else:
+                    line_number += len(values) // 2
+                    values = iter(values)
+                    yield zip(values, values)
+                    continue
             try:
-                values = list(map(int, block.split()))
-            except ValueError:
-                # A lowered int-string limit: parse_scalar decides.
-                pass
-            else:
-                line_number += len(values) // 2
-                values = iter(values)
-                yield zip(values, values)
-                continue
-        try:
-            lines = block.decode("utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            # The lines before the bad byte's line come first.  The "?"
-            # stands in for the bad byte, so a prefix that ends in a line
-            # break counts the line after.
-            lines = (block[:exc.start].decode("utf-8") + "?").splitlines()
-            yield _parse_lines(lines[:-1], line_number)
-            raise PolygonParseError(
-                f"not UTF-8 text: {exc.reason} at byte {offset + exc.start}",
-                line_number + len(lines) - 1) from None
-        yield _parse_lines(lines, line_number)
-        line_number += len(lines)
+                lines = block.decode("utf-8").splitlines()
+            except UnicodeDecodeError as exc:
+                # The lines before the bad byte's line come first.  The "?"
+                # stands in for the bad byte, so a prefix that ends in a
+                # line break counts the line after.
+                lines = (block[:exc.start].decode("utf-8") + "?").splitlines()
+                yield _parse_lines(lines[:-1], line_number)
+                raise PolygonParseError(
+                    f"not UTF-8 text: {exc.reason} at byte "
+                    f"{start + exc.start}",
+                    line_number + len(lines) - 1) from None
+            yield _parse_lines(lines, line_number)
+            line_number += len(lines)
 
 
 def iter_polygon(path) -> Iterator[tuple]:

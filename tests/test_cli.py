@@ -246,6 +246,21 @@ def test_python_dash_m_polyconvex_runs_the_cli(tmp_path, text, code, out):
     assert (done.returncode, done.stdout) == (code, out), done.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"),
+                    reason="no /dev/stdin on this platform")
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"],
+                         ids=["plain", "byte-order-mark"])
+def test_check_reads_a_pipe(mark):
+    # A pipe cannot seek: the reader must take the file front to back.
+    src = str(Path(cli.__file__).parent.parent)
+    done = subprocess.run([sys.executable, "-m", "polyconvex", "check",
+                           "/dev/stdin"], input=mark + SQUARE_TEXT.encode(),
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True)
+    assert (done.returncode, done.stdout) == (0, b"strictly-convex\n"), \
+        done.stderr
+
+
 def run_cli_under_int_string_limit(limit, *args):
     src = str(Path(cli.__file__).parent.parent)
     env = dict(os.environ, PYTHONINTMAXSTRDIGITS=limit, PYTHONPATH=src)

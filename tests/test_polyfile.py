@@ -8,7 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polyconvex
@@ -246,12 +246,18 @@ def scratch_path(tmp_path_factory):
 
 @pytest.mark.parametrize("size", [1, 2, 3, 7, 64])
 @given(text=texts)
+@example(text="\ufeff \n")
+@example(text="\ufeff1 2\n")
+@example(text="\ufeff#c\n3 4\n")
 @settings(max_examples=100)
 def test_iter_polygon_matches_the_reference_at_any_block_size(scratch_path,
                                                               size, text):
+    # The file reader drops a byte-order mark at byte 0, so the reference
+    # reads the text without one.
+    expected = polygon_outcome(polygon_reference, text.removeprefix("\ufeff"))
     scratch_path.write_bytes(text.encode("utf-8"))
     assert polygon_outcome(lambda _: read_in_blocks(scratch_path, size),
-                           text) == polygon_outcome(polygon_reference, text)
+                           text) == expected
 
 
 # Each file's first error, as reading the whole file before parsing it gave
@@ -296,7 +302,7 @@ def test_byte_order_mark_is_dropped_only_at_byte_0(tmp_path, size):
     path = tmp_path / "bom.txt"
     path.write_bytes(mark + b"0 0\n1 0\n")
     assert read_in_blocks(path, size) == ((0, 0), (1, 0))
-    # At size 4 the second block starts with this mark.
+    # At sizes 1 to 3 the second block starts with this mark.
     path.write_bytes(b"0 0\n" + mark + b"1 0\n")
     with pytest.raises(PolygonParseError) as err:
         read_in_blocks(path, size)
