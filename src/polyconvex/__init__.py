@@ -11,25 +11,24 @@ exactly one decision condition), and a small CLI.
 All arithmetic is exact rational; there are no tolerances anywhere.
 """
 
-from .errors import (ExhaustedEpsilonBudget, InvalidConditionId,
-                     NotQuasiStrictInput, TooFewVertices)
-from .fast_test import (ConditionId, ConvexityReport, SignTable,
-                        condition_value, is_strictly_convex,
+from .fast_test import (ConditionId, ConvexityReport, InvalidConditionId,
+                        SignTable, condition_value, is_strictly_convex,
                         is_strictly_convex_chain)
-from .generator import (DEFAULT_SEED_TRIANGLE, make_minimality_witness,
-                        make_strictly_convex, parabola_polygon, random_polygon)
+from .generator import (DEFAULT_SEED_TRIANGLE, NotQuasiStrictInput,
+                        make_minimality_witness, make_strictly_convex,
+                        parabola_polygon, random_polygon)
 from .geometry import Point, Scalar, delta, delta_evaluations, sign_of
-from .oracles import (convex_hull, hull_oracle, matches_hull_order,
-                      strictly_convex_oracle)
+from .oracles import (TooFewVertices, convex_hull, hull_oracle,
+                      is_quasi_strict, is_strict, matches_hull_order,
+                      strictly_convex_oracle, strictly_one_side)
 from .polyfile import (PolygonParseError, format_polygon, parse_polygon,
                        read_polygon_file, write_polygon_file)
-from .predicates import is_quasi_strict, is_strict, strictly_one_side
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConditionId", "ConvexityReport", "DEFAULT_SEED_TRIANGLE",
-    "ExhaustedEpsilonBudget", "InvalidConditionId", "NotQuasiStrictInput",
+    "InvalidConditionId", "NotQuasiStrictInput",
     "Point", "PolygonParseError", "Scalar", "SignTable",
     "TooFewVertices", "condition_value", "convex_hull", "delta",
     "delta_evaluations", "format_polygon", "hull_oracle",

@@ -73,7 +73,6 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .errors import InvalidConditionId
 from .geometry import Point, add_delta_evaluations, delta, require_exact
 
 
@@ -82,6 +81,10 @@ class ConditionId(NamedTuple):
 
     omega: int
     i: int
+
+
+class InvalidConditionId(ValueError):
+    """Condition identifier outside omega in {1,2,3}, i in [2, n-2]."""
 
 
 class SignTable(NamedTuple):

@@ -31,12 +31,14 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (ExhaustedEpsilonBudget, InvalidConditionId,
-                     NotQuasiStrictInput)
-from .fast_test import ConditionId, condition_value
-from .geometry import Point, delta
+from .fast_test import ConditionId, InvalidConditionId, condition_value
+from .geometry import Point, delta, require_exact
 
 DEFAULT_SEED_TRIANGLE = (Point(0, 0), Point(1, 0), Point(0, 1))
+
+
+class NotQuasiStrictInput(ValueError):
+    """The generator needs a seed triangle whose vertices are not collinear."""
 
 
 def _arc_point(omega: int, eps: Fraction, x, y) -> tuple:
@@ -97,11 +99,13 @@ def _arc_step(polygon: tuple, omega: int) -> tuple:
                        (y1 - y0) * fx + (yl - y0) * fy + y0)
         if _keeps_quasi_strict(polygon, vertex):
             return polygon + (vertex,)
-    raise ExhaustedEpsilonBudget(
+    # The budget guarantees an admissible point, so this is a bug guard.
+    raise RuntimeError(
         f"no admissible arc point within {budget} attempts (k={k})")
 
 
 def _require_strict_seed(seed_triangle: Sequence[Point]) -> tuple:
+    require_exact(seed_triangle)
     if len(seed_triangle) != 3:
         raise NotQuasiStrictInput(
             f"seed must be a triangle, got {len(seed_triangle)} vertices")
@@ -118,8 +122,8 @@ def make_strictly_convex(n: int, seed_triangle=DEFAULT_SEED_TRIANGLE) -> tuple:
     at step k (the admissible eps shrinks by a constant factor every step),
     so this is a desk-scale factory; use parabola_polygon for huge inputs.
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    if not isinstance(n, int) or n < 3:
+        raise ValueError(f"n must be an int >= 3, got {n!r}")
     polygon = _require_strict_seed(seed_triangle)
     while len(polygon) < n:
         polygon = _arc_step(polygon, 0)

@@ -11,7 +11,6 @@ rounding error near a collinear configuration could flip it.
 from __future__ import annotations
 
 import itertools
-import numbers
 from fractions import Fraction
 from typing import NamedTuple, Union
 
@@ -61,15 +60,17 @@ def add_delta_evaluations(count: int) -> None:
 def require_exact(vertices) -> None:
     """Raise TypeError unless every coordinate is an int or a Fraction.
 
+    Subclasses of either pass, bool among them; any other type is refused.
     The oracles call this on their whole input; the linear deciders check
     coordinates as they read them, calling this on any that is neither an
     int nor a Fraction, and on the points left after a fail-fast stop.
     Floats would decide signs with rounded arithmetic, and so would Decimal,
-    which rounds each product to its context precision; convert such values
-    exactly with fractions.Fraction first.  The type scan runs in C.
+    which rounds each product to its context precision; numpy integers wrap
+    at 64 bits.  Convert such values exactly with int() or
+    fractions.Fraction first.  The type scan runs in C.
     """
     for kind in set(map(type, itertools.chain.from_iterable(vertices))):
-        if not issubclass(kind, numbers.Rational):
+        if not issubclass(kind, (int, Fraction)):
             raise TypeError(f"coordinates must be exact rationals (int or "
                             f"Fraction), got {kind.__name__}")
 

@@ -8,7 +8,8 @@ MAX_DIGITS digits (leading zeros count), a decimal exponent beyond
 MAX_DIGITS digits, is a PolygonParseError.  Blank lines and lines
 starting with '#' are ignored.  Files are UTF-8 text, optionally opening
 with a byte-order mark; other bytes are a PolygonParseError.  Writing a
-polygon and parsing it back reproduces it exactly.
+polygon and parsing it back reproduces it exactly; only int and Fraction
+coordinates are written, any other is a TypeError.
 
 The grammar is that of Fraction(token).  Integers, "p/q" and "a.b" written
 in plain digits, the shapes that fill real files, are read with int() and
@@ -38,7 +39,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .geometry import Point
+from .geometry import Point, require_exact
 
 
 class PolygonParseError(ValueError):
@@ -148,6 +149,7 @@ def format_scalar(value) -> str:
 
 
 def format_polygon(vertices: Sequence[Point]) -> str:
+    require_exact(vertices)
     return "".join(f"{format_scalar(x)} {format_scalar(y)}\n"
                    for x, y in vertices)
 

@@ -20,9 +20,8 @@ from polyconvex.fast_test import (ConditionId, condition_value,
 from polyconvex.generator import (make_minimality_witness, make_strictly_convex,
                                   parabola_polygon, random_polygon)
 from polyconvex.geometry import Point, delta, delta_evaluations
-from polyconvex.oracles import (hull_oracle, matches_hull_order,
-                                strictly_convex_oracle)
-from polyconvex.predicates import is_quasi_strict, is_strict
+from polyconvex.oracles import (hull_oracle, is_quasi_strict, is_strict,
+                                matches_hull_order, strictly_convex_oracle)
 
 P = Point
 

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyconvex import fast_test
-from polyconvex.errors import InvalidConditionId
-from polyconvex.fast_test import (ConditionId, ConvexityReport, SignTable,
+from polyconvex.fast_test import (ConditionId, ConvexityReport,
+                                  InvalidConditionId, SignTable,
                                   condition_value, is_strictly_convex,
                                   is_strictly_convex_chain)
 from polyconvex.generator import (make_strictly_convex, parabola_polygon,
@@ -317,6 +317,33 @@ def test_inexact_coordinates_are_rejected_at_every_size(vertices):
         for given in (vertices, iter(vertices)):
             with pytest.raises(TypeError):
                 decide(given)
+
+
+class Ratio(Fraction):
+    pass
+
+
+def test_only_int_and_fraction_coordinates_are_exact():
+    # numpy integers wrap at 64 bits: every product of this strictly convex
+    # square overflows, and a decider that took them would reject it.
+    np = pytest.importorskip("numpy")
+    big = 1 << 40
+    square = ((0, 0), (big, 0), (big, big), (0, big))
+    wrapping = tuple((np.int64(x), np.int64(y)) for x, y in square)
+    for decide in (is_strictly_convex, lambda v: is_strictly_convex(iter(v)),
+                   is_strictly_convex_chain, strictly_convex_oracle,
+                   hull_oracle, convex_hull,
+                   lambda v: condition_value(v, ConditionId(1, 2))):
+        with pytest.raises(TypeError, match="int64"):
+            decide(wrapping)
+    # Subclasses of int, bool among them, and of Fraction stay exact.
+    for exact in (square, tuple((x == big, y == big) for x, y in square),
+                  tuple((Ratio(x, 3), Ratio(y, 3)) for x, y in square)):
+        for decide in (lambda v: is_strictly_convex(v).verdict,
+                       lambda v: is_strictly_convex(iter(v)).verdict,
+                       lambda v: is_strictly_convex_chain(v).verdict,
+                       strictly_convex_oracle, hull_oracle):
+            assert decide(exact)
 
 
 def reference_scan(vertices, explain=False, collect_signs=True):

@@ -6,17 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polyconvex import generator
-from polyconvex.errors import InvalidConditionId, NotQuasiStrictInput
-from polyconvex.fast_test import (ConditionId, condition_value,
-                                  is_strictly_convex)
-from polyconvex.generator import (DEFAULT_SEED_TRIANGLE,
+from polyconvex.fast_test import (ConditionId, InvalidConditionId,
+                                  condition_value, is_strictly_convex)
+from polyconvex.generator import (DEFAULT_SEED_TRIANGLE, NotQuasiStrictInput,
                                   make_minimality_witness,
                                   make_strictly_convex, parabola_polygon,
                                   random_polygon)
 from polyconvex.geometry import Point
-from polyconvex.oracles import hull_oracle, strictly_convex_oracle
+from polyconvex.oracles import (hull_oracle, is_quasi_strict,
+                                strictly_convex_oracle)
 from polyconvex.polyfile import format_polygon
-from polyconvex.predicates import is_quasi_strict
 
 P = Point
 TRIANGLE = DEFAULT_SEED_TRIANGLE
@@ -157,6 +156,19 @@ def test_make_strictly_convex_rejects_bad_seed():
         make_strictly_convex(5, (P(0, 0), P(1, 1), P(2, 2)))
     with pytest.raises(ValueError):
         make_strictly_convex(2)
+
+
+def test_make_strictly_convex_rejects_a_non_int_n():
+    with pytest.raises(ValueError):
+        make_strictly_convex(5.5)
+
+
+def test_inexact_seed_is_refused_at_entry():
+    seed = (P(0, 0), P(0.5, 0), P(0, 1))
+    with pytest.raises(TypeError, match="exact rationals"):
+        make_strictly_convex(5, seed)
+    with pytest.raises(TypeError, match="exact rationals"):
+        make_minimality_witness(5, ConditionId(1, 2), seed)
 
 
 def test_generator_is_deterministic():

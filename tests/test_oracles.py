@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyconvex.oracles as oracles_module
-from polyconvex.errors import TooFewVertices
 from polyconvex.generator import make_strictly_convex
 from polyconvex.geometry import Point, delta
-from polyconvex.oracles import (convex_hull, hull_oracle, matches_hull_order,
-                                strictly_convex_oracle)
+from polyconvex.oracles import (TooFewVertices, convex_hull, hull_oracle,
+                                matches_hull_order, strictly_convex_oracle)
 
 P = Point
 SQUARE = (P(0, 0), P(1, 0), P(1, 1), P(0, 1))
@@ -74,7 +73,7 @@ def test_sidedness_oracle_examines_every_edge(monkeypatch):
     # closing pair hull-adjacent), so edge coverage is asserted directly:
     # the sweep must consult all n edges, the closing one included.
     seen = []
-    import polyconvex.predicates as predicates_module
+    import polyconvex.oracles as predicates_module
     real = predicates_module.strictly_one_side
 
     def recording(targets, seg_start, seg_end):
@@ -90,7 +89,7 @@ def test_sidedness_oracle_examines_every_edge(monkeypatch):
 def test_closing_edge_cannot_be_sole_failure_small_scale():
     # exhaustive confirmation of the impossibility claim above, n=4 on {0,1,2}^2
     pts = [P(x, y) for x in range(3) for y in range(3)]
-    import polyconvex.predicates as predicates_module
+    import polyconvex.oracles as predicates_module
     for combo in itertools.product(pts, repeat=4):
         open_edges_pass = all(
             predicates_module.strictly_one_side(

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -68,6 +69,16 @@ def test_round_trip_preserves_exact_values():
     poly = (P(0, 0), P(Fraction(-1, 11), Fraction(12, 121)), P(7, -3),
             P(Fraction(22, 7), Fraction(1, 10**30)))
     assert parse_polygon(format_polygon(poly)) == poly
+
+
+@pytest.mark.parametrize("value", [0.5, Decimal("2.7")])
+def test_inexact_values_are_not_written(tmp_path, value):
+    path = tmp_path / "poly.txt"
+    with pytest.raises(TypeError):
+        format_polygon([(value, 0)])
+    with pytest.raises(TypeError):
+        write_polygon_file(path, [(0, 0), (1, 0), (value, 1)])
+    assert not path.exists()
 
 
 def test_round_trip_generated_polygons():

@@ -6,8 +6,8 @@ from polyconvex import generator
 from polyconvex.fast_test import ConditionId
 from polyconvex.generator import make_minimality_witness, make_strictly_convex
 from polyconvex.geometry import Point
-from polyconvex.oracles import strictly_convex_oracle
-from polyconvex.predicates import is_quasi_strict, is_strict, strictly_one_side
+from polyconvex.oracles import (is_quasi_strict, is_strict,
+                                strictly_convex_oracle, strictly_one_side)
 
 P = Point
 SQUARE = (P(0, 0), P(1, 0), P(1, 1), P(0, 1))
