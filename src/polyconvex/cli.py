@@ -11,7 +11,9 @@ other error, with its traceback on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import traceback
 
@@ -63,15 +65,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     # A polygon file holds values of up to MAX_DIGITS digits, so a lower
-    # int-string limit (PYTHONINTMAXSTRDIGITS) is raised for the run.
-    # Python 3.10.0-3.10.6 have no limit.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # int-string limit (PYTHONINTMAXSTRDIGITS, 0 for none) is raised for a run.
+    limit = sys.get_int_max_str_digits()
     raise_limit = 0 < limit < MAX_DIGITS
     if raise_limit:
         sys.set_int_max_str_digits(MAX_DIGITS)
@@ -112,17 +112,29 @@ def _cmd_check(args) -> int:
             oracle = {"sidedness": sidedness, "hull": hull,
                       "agree": sidedness == hull == report.verdict}
 
-    if args.as_json:
-        payload = report.to_json_dict()
-        if args.oracle:
-            payload["oracle"] = oracle
-        print(json.dumps(payload))
-    else:
-        _print_text_report(report, args.explain, oracle)
+    with _stdout_may_close():
+        if args.as_json:
+            payload = report.to_json_dict()
+            if args.oracle:
+                payload["oracle"] = oracle
+            print(json.dumps(payload))
+        else:
+            _print_text_report(report, args.explain, oracle)
 
     if oracle is not None and "agree" in oracle and not oracle["agree"]:
         return 3
     return 0 if report.verdict else 1
+
+
+@contextlib.contextmanager
+def _stdout_may_close():
+    """A reader closing stdout early (``| head``) leaves the exit code as is;
+    stdout then writes to devnull, so Python's final flush cannot fail."""
+    try:
+        yield
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _print_text_report(report, explain: bool, oracle) -> None:
@@ -171,7 +183,8 @@ def _cmd_generate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     write_polygon_file(args.out, polygon)
-    print(f"wrote {len(polygon)} vertices to {args.out}")
+    with _stdout_may_close():
+        print(f"wrote {len(polygon)} vertices to {args.out}")
     return 0
 
 

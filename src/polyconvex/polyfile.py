@@ -22,12 +22,12 @@ block of it at a time.  Each block is a 64 KB binary read followed by the
 rest of its last line, so it ends after a b"\n" or at the end of the file,
 holds whole lines and, since no UTF-8 multibyte sequence contains that byte,
 decodes on its own.  Nothing seeks, so a pipe reads like a file.  A block
-made only of lines of two plain integers (``-?[0-9]{1,MAX_DIGITS}``,
-separated by spaces or tabs, with an optional "\r") is split and read by
-int() with no per-line code; any other block is decoded and read line by
-line by the same code as ``parse_polygon``, so values, messages and line
-numbers never depend on the blocks.  Errors come in file order: a bad line
-ahead of a non-UTF-8 byte is reported first.  ``parse_polygon`` and
+made only of lines of two plain integers (``-?[0-9]{1,MAX_DIGITS}``, separated
+by spaces or tabs, with an optional "\r"), as one regex match tells, is split
+and read by int() with no per-line code; any other block is decoded and read
+line by line by the same code as ``parse_polygon``, so values, messages and
+line numbers never depend on the blocks.  Errors come in file order: a bad
+line ahead of a non-UTF-8 byte is reported first.  ``parse_polygon`` and
 ``read_polygon_file`` give the vertices as a tuple of Points.
 """
 
@@ -83,9 +83,9 @@ def _exponent_too_large(token: str) -> bool:
 
 def parse_scalar(token: str, line_number: int | None = None):
     # int() and Fraction refuse a run of more than MAX_DIGITS digits only under
-    # Python's default int-string limit, which PYTHONINTMAXSTRDIGITS or Python
-    # 3.10.0-3.10.6 lifts, so the check is made here.  A shorter token cannot
-    # hold such a run: the hot path pays one length test.
+    # Python's default int-string limit, which PYTHONINTMAXSTRDIGITS=0 or a
+    # value past MAX_DIGITS lifts, so the check is made here.  A shorter token
+    # cannot hold such a run: the hot path pays one length test.
     if len(token) > MAX_DIGITS and any(len(run) - run.count("_") > MAX_DIGITS
                                        for run in _DIGIT_RUN.findall(token)):
         raise PolygonParseError(f"bad coordinate {_quoted(token)}",
@@ -159,25 +159,11 @@ _BLOCK_SIZE = 1 << 16
 
 _BYTE_ORDER_MARK = "\ufeff".encode()
 
-# Up to 128 lines of two plain integers, the whole of a typical file.  The
-# digit caps keep MAX_DIGITS whatever Python's int-string limit, and the last
-# line of a file may lack its "\n".  The regex engine keeps about 670 bytes
-# of backtracking state per line matched: one match of a whole 64 KB block
-# grew it to 3.4 MB, 128 lines stay under 100 KB.
+# Lines of two plain integers, the last of which may lack its "\n".  The caps
+# hold under any int-string limit; *+ keeps no backtracking state per line.
 _INTEGER = rb"-?[0-9]{1,%d}" % MAX_DIGITS
-_PLAIN_LINES = re.compile(rb"(?:[ \t]*%s[ \t]+%s[ \t]*\r?(?:\n|\Z)){1,128}"
+_PLAIN_BLOCK = re.compile(rb"(?:[ \t]*%s[ \t]+%s[ \t]*\r?(?:\n|\Z))*+"
                           % (_INTEGER, _INTEGER))
-
-
-def _is_plain(block: bytes) -> bool:
-    """Whether every line of the block is two plain integers."""
-    start = 0
-    while start < len(block):
-        match = _PLAIN_LINES.match(block, start)
-        if match is None:
-            return False
-        start = match.end()
-    return True
 
 
 def _block_pairs(path):
@@ -194,7 +180,7 @@ def _block_pairs(path):
                 # Only a mark at byte 0 is dropped; offsets still count it.
                 block = block[len(_BYTE_ORDER_MARK):]
                 start = len(_BYTE_ORDER_MARK)
-            if _is_plain(block):
+            if _PLAIN_BLOCK.fullmatch(block):
                 try:
                     values = list(map(int, block.split()))
                 except ValueError:

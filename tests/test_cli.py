@@ -261,6 +261,49 @@ def test_check_reads_a_pipe(mark):
         done.stderr
 
 
+def buffered_stdout_env():
+    """The environment of a CLI child whose stdout is buffered, as it is by
+    default when stdout is a pipe."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+@pytest.mark.parametrize("collinear, code", [(False, 0), (True, 1)],
+                         ids=["parabola", "collinear-twin"])
+def test_a_reader_closing_the_pipe_early_leaves_the_exit_code(
+        tmp_path, collinear, code):
+    # The sign table fills more than a 64 KB pipe buffer, so the check is
+    # still writing when the reader goes.
+    polygon = list(parabola_polygon(20000))
+    if collinear:
+        # The midpoint of its neighbours.
+        polygon[10000] = Point(10000, 10000 ** 2 + 1)
+    path = tmp_path / "polygon.txt"
+    path.write_text(format_polygon(polygon))
+    with subprocess.Popen([sys.executable, "-m", "polyconvex", "check",
+                           str(path), "--explain"],
+                          env=buffered_stdout_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (code, b"")
+
+
+def test_generate_exits_0_when_stdout_is_closed_before_it_writes(tmp_path):
+    # The one line written waits in the buffer until the final flush.
+    out = tmp_path / "convex.txt"
+    with subprocess.Popen([sys.executable, "-m", "polyconvex", "generate",
+                           "--mode", "convex", "--n", "5", "--out", str(out)],
+                          env=buffered_stdout_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+    assert out.read_text().count("\n") == 5
+
+
 def run_cli_under_int_string_limit(limit, *args):
     src = str(Path(cli.__file__).parent.parent)
     env = dict(os.environ, PYTHONINTMAXSTRDIGITS=limit, PYTHONPATH=src)

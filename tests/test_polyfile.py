@@ -337,6 +337,45 @@ def test_integers_the_block_reader_skips_are_read_by_parse_scalar(tmp_path):
         assert streamed[:1] == ("error",) and streamed[2] == 2
 
 
+# Lines that are not two plain integers.
+NON_PLAIN_LINES = {"comment": "# a comment", "three-tokens": "1 2 3",
+                   "fraction": "7/3 4"}
+
+
+@pytest.mark.parametrize("end", ["\n", ""],
+                         ids=["newline", "no-final-newline"])
+@pytest.mark.parametrize("kind, line", [
+    *((kind, line) for kind in NON_PLAIN_LINES for line in (1, 129, 200, 300)),
+    (None, None),
+])
+def test_one_non_plain_line_in_a_long_block(tmp_path, kind, line, end):
+    # 300 lines, one block at the default size, longer than any run of lines
+    # the texts strategy draws.
+    lines = [f"{t} {t * t}" for t in range(300)]
+    if kind is not None:
+        lines[line - 1] = NON_PLAIN_LINES[kind]
+    text = "\n".join(lines) + end
+    path = tmp_path / "polygon.txt"
+    path.write_text(text)
+    assert polygon_outcome(lambda _: tuple(iter_polygon(path)), text) == \
+        polygon_outcome(polygon_reference, text)
+
+
+def test_plain_block_check_keeps_no_state_per_line():
+    # One full block of plain lines, about 3,500 of them.
+    block = b"".join(b"%d %d\n" % (t, t * t)
+                     for t in range(10 ** 5, 10 ** 5 + 3500))
+    assert len(block) >= polyfile._BLOCK_SIZE
+    tracemalloc.start()
+    try:
+        assert polyfile._PLAIN_BLOCK.fullmatch(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A repeat that backtracks keeps state per line: 2.2 MB on this block.
+    assert peak < 8 * 1024, peak
+
+
 @pytest.mark.parametrize("line", ["{t} {s}", "-{t}/7 {t}.{s}"],
                          ids=["integer", "rational"])
 def test_parse_memory_stays_near_the_size_of_the_result(line):
