@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .fast_test import ConditionId, InvalidConditionId, condition_value
-from .geometry import Point, delta, require_exact
+from .geometry import Point, delta, integer_scaled, require_exact
 
 DEFAULT_SEED_TRIANGLE = (Point(0, 0), Point(1, 0), Point(0, 1))
 
@@ -56,8 +56,11 @@ def _keeps_quasi_strict(polygon: Sequence[Point], vertex: Point) -> bool:
     """Would appending ``vertex`` keep a quasi-strict polygon quasi-strict?
 
     Only the checks involving the new vertex are needed: the old open edges
-    against it, and the two new edges against every old vertex.  O(k).
+    against it, and the two new edges against every old vertex: 3(k-1)
+    determinants, O(k).  They are taken on the integer_scaled points, whose
+    determinants have the same signs and cost int, not Fraction, products.
     """
+    *polygon, vertex = integer_scaled((*polygon, vertex))
     k = len(polygon)
     last = polygon[k - 1]
     first = polygon[0]
@@ -80,14 +83,17 @@ def _arc_step(polygon: tuple, omega: int) -> tuple:
     The frame map sends (0,0), (1,0), (0,1) to V0, V1, V[k-1]; the frame
     coordinates (x, y) of V[k-2] follow from Cramer's rule.  Quasi-strictness
     makes delta(V0, V1, V[k-1]) nonzero, and _keeps_quasi_strict carries the
-    invariant over to the extended polygon.
+    invariant over to the extended polygon.  x and y are ratios of two
+    determinants, so they are taken on the integer_scaled vertices; the
+    vertex map and the arc points stay in exact fractions.
     """
     k = len(polygon)
-    v0, v1, before_last, last = polygon[0], polygon[1], polygon[-2], polygon[-1]
+    v0, v1, before_last, last = integer_scaled(
+        (polygon[0], polygon[1], polygon[-2], polygon[-1]))
     det = delta(v0, v1, last)
     x = Fraction(delta(v0, before_last, last), det)
     y = Fraction(delta(v0, v1, before_last), det)
-    (x0, y0), (x1, y1), (xl, yl) = v0, v1, last
+    (x0, y0), (x1, y1), (xl, yl) = polygon[0], polygon[1], polygon[-1]
     # eps = 1/(t*2^j), t > 10*(1+|y|) (arc 1 takes any eps): its bits grow by
     # one per attempt instead of compounding, as bound/(j+2) would at every
     # step, which becomes unusable beyond a handful of vertices.
@@ -156,6 +162,9 @@ def make_minimality_witness(n: int, target,
 
 def _verify_witness_pattern(polygon: Sequence[Point], target: ConditionId):
     k = len(polygon)
+    # Each condition is a product of two determinants, so scaling multiplies
+    # it by (Dx*Dy)^2 > 0 and keeps its sign.
+    polygon = integer_scaled(polygon)
     for i in range(2, k - 1):
         for omega in (1, 2, 3):
             value = condition_value(polygon, ConditionId(omega, i))

@@ -6,13 +6,20 @@ and they hash alike), so integer inputs stay on the fast integer path while
 everything else runs in exact rational arithmetic.  No floating point is used
 anywhere in this package: every verdict is a pure sign decision, and a single
 rounding error near a collinear configuration could flip it.
+
+``integer_scaled`` multiplies every x by one positive integer and every y by
+another, so rational points become int points with the same orientation
+signs: the oracles and the generator take their determinants on those.  The
+linear deciders scale lazily, as they stream (see ``fast_test``), and do not
+use it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -73,6 +80,48 @@ def require_exact(vertices) -> None:
         if not issubclass(kind, (int, Fraction)):
             raise TypeError(f"coordinates must be exact rationals (int or "
                             f"Fraction), got {kind.__name__}")
+
+
+def integer_scaled(points: Sequence[Point]) -> list:
+    """The points with every x multiplied by Dx and every y by Dy, as ints.
+
+    Dx is the lcm of the x denominators and Dy that of the y denominators.
+    The map diag(Dx, Dy) has determinant Dx*Dy > 0: it multiplies every
+    orientation determinant by Dx*Dy, so it keeps the sign of each, the ratio
+    of any two, equality of points and lexicographic order.  Int products are
+    far cheaper than Fraction ones, which reduce by a gcd at every operation.
+
+    The guard of the linear deciders applies: when either lcm would have more
+    than twice the bits of its axis's longest numerator and longest
+    denominator (pairwise-coprime denominators, say), the ints would be
+    longer than the fractions they replace, and the points come back
+    unscaled.  It is all or nothing, since a mix of int and Fraction operands
+    costs more than either.  Points whose coordinates are all ints come back
+    as they are.  Takes coordinates that are already checked.
+    """
+    if set(map(type, itertools.chain.from_iterable(points))) <= {int}:
+        return list(points)
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    dx, dy = _common_denominator(xs), _common_denominator(ys)
+    if dx is None or dy is None:
+        return list(points)
+    return [Point(x.numerator * (dx // x.denominator),
+                  y.numerator * (dy // y.denominator))
+            for x, y in zip(xs, ys)]
+
+
+def _common_denominator(values: list):
+    """The lcm of the denominators of ``values``, or None past the guard."""
+    denominators = {v.denominator for v in values}
+    bound = 2 * (max(v.numerator.bit_length() for v in values)
+                 + max(d.bit_length() for d in denominators))
+    common = 1
+    for d in denominators:
+        common = math.lcm(common, d)
+        if common.bit_length() > bound:
+            return None
+    return common
 
 
 def sign_of(value: Scalar) -> int:

@@ -8,6 +8,12 @@ the orientation determinant, so three-way agreement is meaningful evidence
 rather than an echo.  Like the linear-time deciders, both oracles and the
 hull helpers raise TypeError on a coordinate that is not an exact rational.
 
+Both oracles then decide in integers: they run on the input's
+``geometry.integer_scaled`` points, whose orientation determinants have the
+same signs.  That scaling is eager, over the whole input, and shares no code
+with the linear deciders' lazy one, so a fault in either still shows up as a
+disagreement.
+
 The oracles are built on three definition-level predicates, ``is_strict``,
 ``is_quasi_strict`` and ``strictly_one_side``: each checks its defining
 property directly, with clarity over speed.  They take checked coordinates
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .geometry import Point, delta, require_exact, sign_of
+from .geometry import Point, delta, integer_scaled, require_exact, sign_of
 
 
 class TooFewVertices(ValueError):
@@ -86,6 +92,7 @@ def strictly_convex_oracle(vertices: Sequence[Point]) -> bool:
     if n < 3:
         raise TooFewVertices(f"oracle needs n >= 3, got {n}")
     require_exact(vertices)
+    vertices = integer_scaled(vertices)
     for i in range(n):
         j = (i + 1) % n
         targets = [vertices[k] for k in range(n) if k != i and k != j]
@@ -146,6 +153,9 @@ def hull_oracle(vertices: Sequence[Point]) -> bool:
 
     For strict polygons the order condition is equivalent to the edges
     covering the hull boundary exactly, since no vertex can then sit inside a
-    hull edge.  matches_hull_order validates the input for both checks.
+    hull edge.  The input is checked, then both checks run on its
+    integer_scaled points.
     """
+    require_exact(vertices)
+    vertices = integer_scaled(vertices)
     return matches_hull_order(vertices) and is_strict(vertices)

@@ -326,7 +326,7 @@ class Ratio(Fraction):
 def test_only_int_and_fraction_coordinates_are_exact():
     # numpy integers wrap at 64 bits: every product of this strictly convex
     # square overflows, and a decider that took them would reject it.
-    np = pytest.importorskip("numpy")
+    np = pytest.importorskip("numpy", exc_type=ImportError)
     big = 1 << 40
     square = ((0, 0), (big, 0), (big, big), (0, big))
     wrapping = tuple((np.int64(x), np.int64(y)) for x, y in square)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyconvex.geometry import Point, delta, delta_evaluations, sign_of
+from polyconvex.geometry import integer_scaled
+from polyconvex.oracles import hull_oracle, strictly_convex_oracle
 
 scalars = st.one_of(
     st.integers(min_value=-30, max_value=30),
@@ -76,3 +79,44 @@ def test_delta_counter_counts():
     delta(Point(0, 0), Point(1, 0), Point(0, 1))
     delta(Point(0, 0), Point(1, 0), Point(0, 1))
     assert delta_evaluations() - before == 2
+
+
+# Denominators from a small set: their lcm stays within the guard.
+small_denominator_scalars = st.one_of(
+    st.integers(min_value=-30, max_value=30),
+    st.builds(Fraction, st.integers(min_value=-30, max_value=30),
+              st.sampled_from([1, 2, 3, 4, 6, 9, 12])),
+)
+
+
+@given(pts=st.lists(st.builds(Point, small_denominator_scalars,
+                              small_denominator_scalars), max_size=8))
+def test_integer_scaled_keeps_signs_order_and_equality(pts):
+    scaled = integer_scaled(pts)
+    assert len(scaled) == len(pts)
+    assert all(type(v) is int for p in scaled for v in p)
+    for i, j, k in itertools.combinations(range(len(pts)), 3):
+        assert (sign_of(delta(scaled[i], scaled[j], scaled[k]))
+                == sign_of(delta(pts[i], pts[j], pts[k])))
+    indices = range(len(pts))
+    assert (sorted(indices, key=scaled.__getitem__)
+            == sorted(indices, key=pts.__getitem__))
+    for i, j in itertools.product(indices, repeat=2):
+        assert (scaled[i] == scaled[j]) == (pts[i] == pts[j])
+
+
+def test_integer_scaled_refuses_pairwise_distinct_long_denominators():
+    # The lcm of 40 distinct ~1000-bit denominators would run to tens of
+    # thousands of bits: the points come back unscaled and exact.
+    pts = [Point(t + Fraction(1, 2 ** 1000 + 2 * t + 1), t * t)
+           for t in range(40)]
+    assert integer_scaled(pts) == pts
+    assert strictly_convex_oracle(pts)
+    assert hull_oracle(pts)
+
+
+def test_integer_scaled_empty_and_single_point():
+    assert integer_scaled([]) == []
+    scaled = integer_scaled([Point(Fraction(3, 4), Fraction(-5, 6))])
+    assert scaled == [(3, -5)]
+    assert all(type(v) is int for v in scaled[0])

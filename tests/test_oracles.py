@@ -1,10 +1,13 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyconvex.oracles as oracles_module
+from polyconvex import generator
+from polyconvex.fast_test import ConditionId
 from polyconvex.generator import make_strictly_convex
 from polyconvex.geometry import Point, delta
 from polyconvex.oracles import (TooFewVertices, convex_hull, hull_oracle,
@@ -152,3 +155,20 @@ def test_convex_hull_meets_the_hull_definition(points):
         a, b, c = hull[i], hull[(i + 1) % k], hull[(i + 2) % k]
         assert delta(a, b, c) > 0
         assert all(delta(a, b, p) >= 0 for p in points)
+
+
+def test_generator_and_oracles_take_their_determinants_on_ints(monkeypatch):
+    results = []
+
+    def recording(a, b, c):
+        value = delta(a, b, c)
+        results.append(type(value))
+        return value
+
+    monkeypatch.setattr(generator, "delta", recording)
+    monkeypatch.setattr(oracles_module, "delta", recording)
+    witness = generator.make_minimality_witness(12, ConditionId(2, 7))
+    assert any(type(v) is Fraction for p in witness for v in p)
+    assert not strictly_convex_oracle(witness)
+    assert not hull_oracle(witness)
+    assert results and set(results) == {int}
