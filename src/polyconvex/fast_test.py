@@ -15,18 +15,22 @@ the polygon is strictly convex iff, for every i in [2, n-2],
 
 An equivalent formulation checks that the single chain
 a_2 = ... = a_{n-2} = b_2 = ... = b_{n-1} = c_2 = ... = c_{n-1} is constant
-and nonzero (b_2 = c_2 holds identically).  Both deciders live here; they are
-tested to agree on every input.
+and nonzero (b_2 = c_2 holds identically).
 
-One scan kernel, ``_scan``, computes every sign: the fail-fast and explain
-runs of ``is_strictly_convex`` and the chain decider all read it; the full
+One scan kernel, ``_scan``, computes every sign for both deciders; the full
 sign table is ``is_strictly_convex(v, explain=True).signs``, three lists
 that start at i = 2.  It slides a window over the coordinates translated to
 V[0], so step i takes two new coordinate differences and three 2x2 cross
-products (``a_i`` from the two edge vectors at V[i], ``b_i`` and ``c_i``
-from the translated vertices), compares each product with zero inline, and
-never wraps an index with ``% n``.  A step counts as three determinant
-evaluations in ``geometry.delta_evaluations()``, so a full scan still counts
+products, and never wraps an index with ``% n``.  It compares each sign once
+with s = a_2 and keeps each family's first break as the condition the chain
+decider reports for it: for a at step i, (1, i) if a_i = 0 or b_i = s, else
+(2, i-1), dropped at the last step since a_{n-1} enters no condition; for b,
+(1, 2) at step 2, else (2, i-1); for c, (3, i-1) from step 3 on.  The chain
+decider reports a's break if any, else b's, else c's.  ``is_strictly_convex``
+reports the least by (i, omega), the first violated condition in scan order:
+every condition at an index below the first step that departs from s
+multiplies two signs equal to s.  A step counts as three determinant
+evaluations in ``geometry.delta_evaluations()``, so a full scan counts
 exactly 3(n-3)+3.
 
 Rational input is scanned in integers.  Scaling x by one positive integer Dx
@@ -55,8 +59,9 @@ strictly convex iff its three vertices are not collinear.
 
 The deciders take any iterable of (x, y) pairs and read it once, so a file
 can be decided as it is parsed (``polyfile.iter_polygon``).  A fail-fast
-scan stops taking determinants at the first failure but still reads the
-input to its end, to count n and to raise on a bad point past the failure.
+scan stops taking determinants one step past the first failure's index, but
+still reads the input to its end, to count n and to raise on a bad point
+past the failure.
 
 Every decider raises TypeError on a coordinate that is not an exact rational
 (a float, say): a rounded product near a collinear triple can flip a sign.
@@ -161,27 +166,44 @@ def is_strictly_convex(vertices: Iterable[Point], *, explain: bool = False,
                        collect_signs: bool = True) -> ConvexityReport:
     """Decide strict convexity in one pass with O(1) auxiliary state.
 
-    The scan computes three determinant signs per step and checks each index's
-    three conditions in order once its forward signs are available, so a full
-    run evaluates exactly 3(n-3)+3 determinants for n >= 4.  By default the
-    scan stops at the first violated condition; ``explain=True`` keeps going
-    and fills the whole sign table.  ``collect_signs=False`` skips the table
-    entirely, leaving nothing but the constant-size report (the mode plain
-    ``check`` uses).  ``vertices`` may be any iterable of (x, y) pairs, read
-    once: past a failure it is still read to its end, to count n and check
-    that every coordinate is exact, but no determinant is taken.
+    A full run evaluates exactly 3(n-3)+3 determinants for n >= 4.  By
+    default the scan stops one step past the index of the first violated
+    condition; ``explain=True`` keeps going and fills the whole sign table.
+    ``collect_signs=False`` skips the table entirely, leaving nothing but the
+    constant-size report (the mode plain ``check`` uses).  ``vertices`` may
+    be any iterable of (x, y) pairs, read once: past a failure it is still
+    read to its end, to count n and check that every coordinate is exact,
+    but no determinant is taken.
     """
+    return _decide(vertices, explain, collect_signs, chain=False)
+
+
+def is_strictly_convex_chain(vertices: Iterable[Point]) -> ConvexityReport:
+    """Equality-chain variant of the decision; same verdict on every input.
+
+    Runs the full scan and accepts iff the chain a_2 .. a_{n-2},
+    b_2 .. b_{n-1}, c_2 .. c_{n-1} is constant and nonzero.  A broken chain
+    is reported as a ConditionId that is genuinely violated (confirmable via
+    condition_value): a's first break if there is one, else b's, else c's.
+    """
+    return _decide(vertices, True, True, chain=True)
+
+
+def _decide(vertices, explain: bool, collect_signs: bool,
+            chain: bool) -> ConvexityReport:
     points = iter(vertices)
     head = list(itertools.islice(points, 4))
     if len(head) <= 3:
         return _base_case(head)
     # V0 comes last again, unscaled, so it is scaled as the window is then.
     following = itertools.chain(head[3:], points, head[:1])
-    steps, failed, table = _scan(head[:3], following, explain, collect_signs)
+    steps, breaks, table = _scan(head[:3], following, explain, collect_signs)
     n = steps + 1 + _drain(following)
     if table is not None and len(table.a) == n - 2:
         # a_{n-1} wraps around to V0 and enters no condition.
         table.a.pop()
+    failed = (next(filter(None, breaks), None) if chain else
+              min(filter(None, breaks), key=itemgetter(1, 0), default=None))
     return ConvexityReport(failed is None, n, failed, table)
 
 
@@ -247,7 +269,8 @@ def _scan(head: list, following, explain: bool, collect_signs: bool):
     delta_evaluations() counter once on exit.  Once a vertex with a
     non-int coordinate is read, every vertex goes through one _Scale per
     axis, and the window (V0, u, p, c, e) is multiplied by each factor they
-    return.  Returns (i, failed, table) for the last step i taken.
+    return.  Returns (i, breaks, table) for the last step i taken, with the
+    first break of a, b and c, or None for each family that holds.
     """
     scaled = any(type(v) is not int for point in head for v in point)
     sx, sy = _Scale(), _Scale()
@@ -265,8 +288,9 @@ def _scan(head: list, following, explain: bool, collect_signs: bool):
     px, py = ux, uy
     ex, ey = cx - px, cy - py
     table = SignTable([], [], []) if collect_signs else None
-    failed = None
-    prev_a = prev_b = prev_c = 0
+    # s is a_2 from step 2 on; None before it, and None again once a
+    # fail-fast scan must stop at the next step.
+    s = break_a = break_b = break_c = step_a = None
     for i, (qx, qy) in enumerate(following, 2):
         if scaled or type(qx) is not int or type(qy) is not int:
             scaled = True
@@ -297,20 +321,33 @@ def _scan(head: list, following, explain: bool, collect_signs: bool):
             table.a.append(a_i)
             table.b.append(b_i)
             table.c.append(c_i)
-        if i > 2 and failed is None:
-            j = i - 1
-            if prev_a * prev_b <= 0:
-                failed = ConditionId(1, j)
-            elif prev_a * b_i <= 0:
-                failed = ConditionId(2, j)
-            elif prev_c * c_i <= 0:
-                failed = ConditionId(3, j)
-            if failed is not None and not explain:
-                break
-        prev_a, prev_b, prev_c = a_i, b_i, c_i
+        if a_i != s or b_i != s or c_i != s:
+            if s is None:
+                if i > 2:
+                    break
+                s = a_i
+            if break_a is None and (a_i != s or not s):
+                # a_{i-1} = s: (C1 i) = a_i*b_i or (C2 i-1) = s*b_i fails.
+                break_a = (ConditionId(1, i) if not a_i or b_i == s
+                           else ConditionId(2, i - 1))
+                step_a = i
+            if break_b is None and b_i != s:
+                break_b = ConditionId(2, i - 1) if i > 2 else ConditionId(1, 2)
+            if break_c is None and c_i != s and i > 2:
+                break_c = ConditionId(3, i - 1)
+            if not explain:
+                # Stop one step past the failing index: now for (2, i-1) and
+                # (3, i-1), at the next step for (1, i).
+                if i > 2 and (b_i != s or c_i != s):
+                    break
+                if break_a or break_b:
+                    s = None
         px, py, cx, cy, ex, ey = cx, cy, qx, qy, fx, fy
+    else:  # a_{n-1} wraps around to V0 and enters no condition.
+        if step_a == i:
+            break_a = None
     add_delta_evaluations(3 * (i - 1))
-    return i, failed, table
+    return i, (break_a, break_b, break_c), table
 
 
 def _drain(points) -> int:
@@ -320,43 +357,3 @@ def _drain(points) -> int:
     # zip draws each point before its number, so ``read`` counts the points.
     require_exact(map(itemgetter(0), zip(points, read)))
     return next(read)
-
-
-def is_strictly_convex_chain(vertices: Iterable[Point]) -> ConvexityReport:
-    """Equality-chain variant of the decision; same verdict on every input.
-
-    Computes the full sign table and accepts iff the chain a_2 .. a_{n-2},
-    b_2 .. b_{n-1}, c_2 .. c_{n-1} is constant and nonzero.  A broken chain
-    is reported as a ConditionId that is genuinely violated (confirmable via
-    condition_value).  With s = a_2, three loops compare each family with s;
-    two cases need no code:
-
-    - c_2 is never compared: c_2 and b_2 are the same determinant,
-      delta(V0, V1, V2), and b_2 = s was checked first.
-    - A break b_i != s with i > 2 always violates C2 at i-1, never C1 at
-      i-1: every a_j and every earlier b_j equals s by then, so
-      a_{i-1} * b_{i-1} = s^2 > 0.
-    """
-    report = is_strictly_convex(vertices, explain=True)
-    if report.signs is None:
-        return report
-    failed = _first_break(report.signs)
-    return ConvexityReport(failed is None, report.n, failed, report.signs)
-
-
-def _first_break(table: SignTable) -> Optional[ConditionId]:
-    a, b, c = table
-    s = a[0]
-    for i, (a_i, b_i) in enumerate(zip(a, b), 2):
-        if a_i == 0:
-            return ConditionId(1, i)
-        if a_i != s:
-            # a_{i-1} = s != a_i: (C2 i-1) = s*b_i or (C1 i) = a_i*b_i fails.
-            return ConditionId(2, i - 1) if s * b_i <= 0 else ConditionId(1, i)
-    for i, b_i in enumerate(b, 2):
-        if b_i != s:
-            return ConditionId(1, 2) if i == 2 else ConditionId(2, i - 1)
-    for i, c_i in enumerate(itertools.islice(c, 1, None), 3):
-        if c_i != s:
-            return ConditionId(3, i - 1)
-    return None

@@ -64,11 +64,12 @@ def add_delta_evaluations(count: int) -> None:
     _delta_evaluations += count
 
 
-def require_exact(vertices) -> None:
+def require_exact(vertices) -> set:
     """Raise TypeError unless every coordinate is an int or a Fraction.
 
     Subclasses of either pass, bool among them; any other type is refused.
-    The oracles call this on their whole input; the linear deciders check
+    Returns the set of coordinate types.  ``integer_scaled``, and through it
+    each oracle, calls this on its whole input; the linear deciders check
     coordinates as they read them, calling this on any that is neither an
     int nor a Fraction, and on the points left after a fail-fast stop.
     Floats would decide signs with rounded arithmetic, and so would Decimal,
@@ -76,10 +77,12 @@ def require_exact(vertices) -> None:
     at 64 bits.  Convert such values exactly with int() or
     fractions.Fraction first.  The type scan runs in C.
     """
-    for kind in set(map(type, itertools.chain.from_iterable(vertices))):
+    kinds = set(map(type, itertools.chain.from_iterable(vertices)))
+    for kind in kinds:
         if not issubclass(kind, (int, Fraction)):
             raise TypeError(f"coordinates must be exact rationals (int or "
                             f"Fraction), got {kind.__name__}")
+    return kinds
 
 
 def integer_scaled(points: Sequence[Point]) -> list:
@@ -97,9 +100,10 @@ def integer_scaled(points: Sequence[Point]) -> list:
     longer than the fractions they replace, and the points come back
     unscaled.  It is all or nothing, since a mix of int and Fraction operands
     costs more than either.  Points whose coordinates are all ints come back
-    as they are.  Takes coordinates that are already checked.
+    as they are: the type scan of ``require_exact``, which checks the input,
+    finds them.
     """
-    if set(map(type, itertools.chain.from_iterable(points))) <= {int}:
+    if require_exact(points) <= {int}:
         return list(points)
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]

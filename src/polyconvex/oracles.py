@@ -16,8 +16,8 @@ disagreement.
 
 The oracles are built on three definition-level predicates, ``is_strict``,
 ``is_quasi_strict`` and ``strictly_one_side``: each checks its defining
-property directly, with clarity over speed.  They take checked coordinates
-and do not check them again; the oracles call ``require_exact`` first.
+property directly, with clarity over speed.  They take checked coordinates;
+each oracle checks its input once, in ``integer_scaled``.
 """
 
 from __future__ import annotations
@@ -91,7 +91,6 @@ def strictly_convex_oracle(vertices: Sequence[Point]) -> bool:
     n = len(vertices)
     if n < 3:
         raise TooFewVertices(f"oracle needs n >= 3, got {n}")
-    require_exact(vertices)
     vertices = integer_scaled(vertices)
     for i in range(n):
         j = (i + 1) % n
@@ -153,9 +152,8 @@ def hull_oracle(vertices: Sequence[Point]) -> bool:
 
     For strict polygons the order condition is equivalent to the edges
     covering the hull boundary exactly, since no vertex can then sit inside a
-    hull edge.  The input is checked, then both checks run on its
-    integer_scaled points.
+    hull edge.  Both checks run on the integer_scaled points; that scaling
+    checks the input.
     """
-    require_exact(vertices)
     vertices = integer_scaled(vertices)
     return matches_hull_order(vertices) and is_strict(vertices)

@@ -403,6 +403,46 @@ def test_kernel_matches_reference_loop_on_every_grid_4gon():
         assert_kernel_matches_reference(combo)
 
 
+def chain_first_break(table):
+    """The chain decider's report as a second pass over a full sign table:
+    with s = a_2, the first a, then b, then c that differs from s."""
+    a, b, c = table
+    s = a[0]
+    for i, (a_i, b_i) in enumerate(zip(a, b), 2):
+        if a_i == 0:
+            return ConditionId(1, i)
+        if a_i != s:
+            # a_{i-1} = s != a_i: (C2 i-1) = s*b_i or (C1 i) = a_i*b_i fails.
+            return ConditionId(2, i - 1) if s * b_i <= 0 else ConditionId(1, i)
+    for i, b_i in enumerate(b, 2):
+        if b_i != s:
+            return ConditionId(1, 2) if i == 2 else ConditionId(2, i - 1)
+    for i, c_i in enumerate(itertools.islice(c, 1, None), 3):
+        if c_i != s:
+            return ConditionId(3, i - 1)
+    return None
+
+
+def assert_chain_reports_first_break(poly):
+    expected = None
+    if len(poly) >= 4:
+        expected = chain_first_break(reference_scan(poly, explain=True).signs)
+    for vertices in (poly, iter(poly)):
+        assert is_strictly_convex_chain(vertices).failed == expected, poly
+
+
+def test_chain_reports_first_break_on_every_grid_4gon():
+    pts = [P(x, y) for x in range(3) for y in range(3)]
+    for combo in itertools.product(pts, repeat=4):
+        assert_chain_reports_first_break(combo)
+
+
+@given(poly=small_polygons)
+@settings(max_examples=400)
+def test_chain_reports_first_break(poly):
+    assert_chain_reports_first_break(poly)
+
+
 def _random_polygons(rng, count):
     """Seeded 5..9-gons: lattice noise (mostly early failures) and affine
     images of convex parabola polygons, some with one vertex displaced, in
