@@ -33,23 +33,14 @@ multiplies two signs equal to s.  A step counts as three determinant
 evaluations in ``geometry.delta_evaluations()``, so a full scan counts
 exactly 3(n-3)+3.
 
-Rational input is scanned in integers.  Scaling x by one positive integer Dx
-and y by another, Dy, is the linear map diag(Dx, Dy), of determinant
-Dx*Dy > 0: it multiplies every orientation determinant by Dx*Dy and so keeps
-every sign, hence every verdict and every ``failed`` id.  With Dx a multiple
-of every x denominator, and Dy of every y denominator, each scaled
-coordinate is an int, and int products are far cheaper than Fraction ones,
-which reduce by a gcd at every operation.  Dx and Dy are found as the scan
-goes, so the polygon is read once and no copy of it is made: both start at
-1, and when a denominator d does not divide Dx, Dx and the x half of the
-window, which holds every coordinate the scan still needs, are multiplied by
-d / gcd(Dx, d).  The same goes for y.  A guard keeps the numbers short: when
-a growing Dx would have more than twice the bits of the longest denominator
-and numerator that made it grow (pairwise-coprime denominators, say), the
-scaled values would be longer than the fractions they replace, so the x
-window is divided back into exact fractions and x is scanned unscaled from
-then on; such input costs a few gcd steps, not one per vertex.  An int
-coordinate costs only a type test while no Fraction has been read.
+Rational input is scanned in integers, under the scaling rule and guard of
+``geometry._Scale``, one per axis.  The scales grow as the scan goes, so the
+polygon is read once and no copy of it is made: when an axis's scale grows
+by g, that half of the window, which holds every coordinate the scan still
+needs, is multiplied by g; when the guard refuses, it is divided back into
+exact fractions and the axis is scanned unscaled, at the cost of a few gcd
+steps, not one per vertex.  An int coordinate costs only a type test while
+no Fraction has been read.
 
 ``condition_value`` stays on raw ``delta`` products of the unscaled input,
 as a check that shares neither the kernel nor its scaling.
@@ -71,14 +62,13 @@ Coordinates are checked as they are read, in a Sequence as in a stream.
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .geometry import Point, add_delta_evaluations, delta, require_exact
+from .geometry import (Point, _Scale, _scale_all, add_delta_evaluations, delta,
+                       require_exact)
 
 
 class ConditionId(NamedTuple):
@@ -204,51 +194,8 @@ def _decide(vertices, explain: bool, collect_signs: bool,
         table.a.pop()
     failed = (next(filter(None, breaks), None) if chain else
               min(filter(None, breaks), key=itemgetter(1, 0), default=None))
+    failed = ConditionId(*failed) if failed else None
     return ConvexityReport(failed is None, n, failed, table)
-
-
-class _Scale:
-    """The running common denominator d of one axis (see the module
-    docstring): ``scale(value)`` gives value * d, an int, until the guard
-    refuses d; from then on values pass unscaled."""
-
-    __slots__ = ("d", "bound")
-
-    def __init__(self):
-        self.d = 1
-        # Twice the bits of the longest denominator and numerator that made d
-        # grow; None once the guard has refused.
-        self.bound = 0
-
-    def scale(self, value):
-        """(value * d, g): the window read so far must be multiplied by g to
-        stay in step with d, which is 1 unless d grew or was refused."""
-        if type(value) is int:
-            return value * self.d, 1
-        if type(value) is not Fraction:
-            require_exact(((value,),))
-        if self.bound is None:
-            return value, 1
-        numerator, denominator = value.numerator, value.denominator
-        d = self.d
-        if d % denominator:
-            g = denominator // math.gcd(d, denominator)
-            self.bound = max(self.bound, 2 * (numerator.bit_length()
-                                              + denominator.bit_length()))
-            if (d * g).bit_length() > self.bound:
-                return value, self.refuse()
-            self.d = d = d * g
-        else:
-            g = 1
-        return numerator * (d // denominator), g
-
-    def refuse(self) -> Fraction:
-        """Stop scaling: d would make the numbers longer than the fractions
-        they replace.  Returns 1/d, which turns the window back into the
-        unscaled, exact values."""
-        factor = Fraction(1, self.d)
-        self.d, self.bound = 1, None
-        return factor
 
 
 def _scan(head: list, following, explain: bool, collect_signs: bool):
@@ -270,16 +217,13 @@ def _scan(head: list, following, explain: bool, collect_signs: bool):
     non-int coordinate is read, every vertex goes through one _Scale per
     axis, and the window (V0, u, p, c, e) is multiplied by each factor they
     return.  Returns (i, breaks, table) for the last step i taken, with the
-    first break of a, b and c, or None for each family that holds.
+    first break of a, b and c as an (omega, i) tuple, or None for each
+    family that holds.
     """
     scaled = any(type(v) is not int for point in head for v in point)
     sx, sy = _Scale(), _Scale()
     if scaled:
-        # Let d grow over the first three vertices, then scale them by it.
-        for x, y in head:
-            sx.scale(x)
-            sy.scale(y)
-        head = [(sx.scale(x)[0], sy.scale(y)[0]) for x, y in head]
+        head = _scale_all(head, sx, sy)
     (x0, y0), (ux, uy), (cx, cy) = head
     ux -= x0
     uy -= y0
@@ -328,13 +272,12 @@ def _scan(head: list, following, explain: bool, collect_signs: bool):
                 s = a_i
             if break_a is None and (a_i != s or not s):
                 # a_{i-1} = s: (C1 i) = a_i*b_i or (C2 i-1) = s*b_i fails.
-                break_a = (ConditionId(1, i) if not a_i or b_i == s
-                           else ConditionId(2, i - 1))
+                break_a = (1, i) if not a_i or b_i == s else (2, i - 1)
                 step_a = i
             if break_b is None and b_i != s:
-                break_b = ConditionId(2, i - 1) if i > 2 else ConditionId(1, 2)
+                break_b = (2, i - 1) if i > 2 else (1, 2)
             if break_c is None and c_i != s and i > 2:
-                break_c = ConditionId(3, i - 1)
+                break_c = (3, i - 1)
             if not explain:
                 # Stop one step past the failing index: now for (2, i-1) and
                 # (3, i-1), at the next step for (1, i).

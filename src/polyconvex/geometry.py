@@ -7,11 +7,9 @@ everything else runs in exact rational arithmetic.  No floating point is used
 anywhere in this package: every verdict is a pure sign decision, and a single
 rounding error near a collinear configuration could flip it.
 
-``integer_scaled`` multiplies every x by one positive integer and every y by
-another, so rational points become int points with the same orientation
-signs: the oracles and the generator take their determinants on those.  The
-linear deciders scale lazily, as they stream (see ``fast_test``), and do not
-use it.
+``_Scale`` holds the one rule, and its guard, by which every decider in the
+package turns a rational axis into ints: ``integer_scaled`` applies it to a
+whole point list at once, ``fast_test`` as it streams.
 """
 
 from __future__ import annotations
@@ -85,47 +83,79 @@ def require_exact(vertices) -> set:
     return kinds
 
 
-def integer_scaled(points: Sequence[Point]) -> list:
-    """The points with every x multiplied by Dx and every y by Dy, as ints.
+class _Scale:
+    """The running common denominator d of one axis: the one rule by which
+    every decider turns rational coordinates into ints.
 
-    Dx is the lcm of the x denominators and Dy that of the y denominators.
-    The map diag(Dx, Dy) has determinant Dx*Dy > 0: it multiplies every
-    orientation determinant by Dx*Dy, so it keeps the sign of each, the ratio
-    of any two, equality of points and lexicographic order.  Int products are
-    far cheaper than Fraction ones, which reduce by a gcd at every operation.
-
-    The guard of the linear deciders applies: when either lcm would have more
-    than twice the bits of its axis's longest numerator and longest
-    denominator (pairwise-coprime denominators, say), the ints would be
-    longer than the fractions they replace, and the points come back
-    unscaled.  It is all or nothing, since a mix of int and Fraction operands
-    costs more than either.  Points whose coordinates are all ints come back
-    as they are: the type scan of ``require_exact``, which checks the input,
-    finds them.
+    Multiplying every x by one integer d > 0 and every y by another
+    multiplies each orientation determinant by their product, so it keeps
+    every sign and verdict, the ratio of any two determinants, equality of
+    points and lexicographic order; and int products are far cheaper than
+    Fraction ones, which reduce by a gcd at every operation.  d starts at 1
+    and grows by denominator / gcd(d, denominator) whenever a denominator
+    does not divide it.  The guard refuses a growing d with more than twice
+    the bits of the longest denominator and numerator that made it grow
+    (pairwise-coprime denominators, say), since the scaled values would be
+    longer than the fractions they replace; the axis passes unscaled from
+    then on.
     """
+
+    __slots__ = ("d", "bound")
+
+    def __init__(self):
+        self.d = 1
+        # Twice the bits of the longest denominator and numerator that made d
+        # grow; None once the guard has refused.
+        self.bound = 0
+
+    def scale(self, value):
+        """(value * d, g): the values scaled before must be multiplied by g
+        to stay in step with d, which is 1 unless d grew or was refused."""
+        if type(value) is int:
+            return value * self.d, 1
+        if type(value) is not Fraction:
+            require_exact(((value,),))
+        if self.bound is None:
+            return value, 1
+        numerator, denominator = value.as_integer_ratio()
+        d = self.d
+        if d % denominator:
+            g = denominator // math.gcd(d, denominator)
+            self.bound = max(self.bound, 2 * (numerator.bit_length()
+                                              + denominator.bit_length()))
+            if (d * g).bit_length() > self.bound:
+                return value, self.refuse()
+            self.d = d = d * g
+        else:
+            g = 1
+        return numerator * (d // denominator), g
+
+    def refuse(self) -> Fraction:
+        """Stop scaling: d would make the numbers longer than the fractions
+        they replace.  Returns 1/d, which turns the values scaled before
+        back into the unscaled, exact ones."""
+        factor = Fraction(1, self.d)
+        self.d, self.bound = 1, None
+        return factor
+
+
+def integer_scaled(points: Sequence[Point]) -> list:
+    """The points as (x, y) pairs, each axis scaled to ints by a ``_Scale``,
+    or left unscaled where its guard refuses.  Points whose coordinates are
+    all ints come back as they are: the type scan of ``require_exact``,
+    which checks the input, finds them."""
     if require_exact(points) <= {int}:
         return list(points)
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    dx, dy = _common_denominator(xs), _common_denominator(ys)
-    if dx is None or dy is None:
-        return list(points)
-    return [Point(x.numerator * (dx // x.denominator),
-                  y.numerator * (dy // y.denominator))
-            for x, y in zip(xs, ys)]
+    return _scale_all(points, _Scale(), _Scale())
 
 
-def _common_denominator(values: list):
-    """The lcm of the denominators of ``values``, or None past the guard."""
-    denominators = {v.denominator for v in values}
-    bound = 2 * (max(v.numerator.bit_length() for v in values)
-                 + max(d.bit_length() for d in denominators))
-    common = 1
-    for d in denominators:
-        common = math.lcm(common, d)
-        if common.bit_length() > bound:
-            return None
-    return common
+def _scale_all(points, sx: _Scale, sy: _Scale) -> list:
+    """Let sx grow over every x and sy over every y, then scale each point
+    by both, now settled."""
+    for x, y in points:
+        sx.scale(x)
+        sy.scale(y)
+    return [(sx.scale(x)[0], sy.scale(y)[0]) for x, y in points]
 
 
 def sign_of(value: Scalar) -> int:

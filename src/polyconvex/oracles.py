@@ -4,15 +4,16 @@ Two independent routes: an all-edges sidedness sweep, O(n^2), and a
 comparison with the boundary order of the convex hull (Andrew's monotone
 chain, O(n log n)) followed by a no-three-collinear check that visits every
 vertex triple, O(n^3).  They share nothing with the linear-time test beyond
-the orientation determinant, so three-way agreement is meaningful evidence
-rather than an echo.  Like the linear-time deciders, both oracles and the
+the orientation determinant and the choice of scale (below), so three-way
+agreement is meaningful evidence rather than an echo.  Like the linear-time deciders, both oracles and the
 hull helpers raise TypeError on a coordinate that is not an exact rational.
 
-Both oracles then decide in integers: they run on the input's
-``geometry.integer_scaled`` points, whose orientation determinants have the
-same signs.  That scaling is eager, over the whole input, and shares no code
-with the linear deciders' lazy one, so a fault in either still shows up as a
-disagreement.
+Both oracles then decide in integers, on the input's
+``geometry.integer_scaled`` points.  That code, shared with the linear
+deciders, only picks each axis's factor: any factor > 0 keeps every sign,
+order and equality, and every point is scaled by the same settled one, so a
+fault there cannot make an oracle agree with a wrong scan.  The window
+update that could corrupt a scan is in ``fast_test._scan`` alone.
 
 The oracles are built on three definition-level predicates, ``is_strict``,
 ``is_quasi_strict`` and ``strictly_one_side``: each checks its defining

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from operator import itemgetter
 from unittest import mock
 
 import pytest
@@ -18,7 +19,8 @@ from polyconvex.fast_test import (ConditionId, ConvexityReport,
                                   is_strictly_convex_chain)
 from polyconvex.generator import (make_strictly_convex, parabola_polygon,
                                   random_polygon)
-from polyconvex.geometry import Point, delta, delta_evaluations, sign_of
+from polyconvex.geometry import (Point, delta, delta_evaluations,
+                                 integer_scaled, sign_of)
 from polyconvex.oracles import (convex_hull, hull_oracle, matches_hull_order,
                                 strictly_convex_oracle)
 
@@ -443,6 +445,20 @@ def test_chain_reports_first_break(poly):
     assert_chain_reports_first_break(poly)
 
 
+def test_failed_is_a_condition_id_on_every_grid_4gon():
+    # A plain (omega, i) tuple compares equal to its ConditionId, so the
+    # comparisons with reference_scan cannot tell the two apart.
+    pts = [P(x, y) for x in range(3) for y in range(3)]
+    for combo in itertools.product(pts, repeat=4):
+        reports = [is_strictly_convex(combo, explain=explain,
+                                      collect_signs=collect_signs)
+                   for explain, collect_signs in SCAN_MODES]
+        reports.append(is_strictly_convex_chain(combo))
+        for report in reports:
+            assert (report.failed is None
+                    or type(report.failed) is ConditionId), (combo, report)
+
+
 def _random_polygons(rng, count):
     """Seeded 5..9-gons: lattice noise (mostly early failures) and affine
     images of convex parabola polygons, some with one vertex displaced, in
@@ -601,6 +617,36 @@ def test_guard_refuses_mid_polygon_and_the_scan_stays_exact(poly):
     assert len(refused) == 1 and 4 < refused[0] < len(poly), refused
     assert report == reference_scan(poly, explain=True)
     assert_kernel_matches_reference(poly)
+
+
+@given(poly=st.one_of(rational_polygons().map(itemgetter(0)),
+                      growing_denominators()))
+@settings(max_examples=300, deadline=None)
+def test_integer_scaled_refuses_as_often_as_the_scan(poly):
+    # One guard for the eager and the streaming scaling: both read each
+    # axis's values in the same order, so both refuse as often.
+    with refusals() as streamed:
+        is_strictly_convex(poly, explain=True)
+    with refusals() as eager:
+        integer_scaled(poly)
+    assert len(eager) == len(streamed)
+
+
+def test_guard_refuses_one_axis_and_scales_the_other():
+    # x = t + 1/m with pairwise-coprime m outgrows the guard; y = t^2/6
+    # shares the denominator 6 and becomes ints.
+    poly = [P(t + Fraction(1, m), Fraction(t * t, 6))
+            for t, m in enumerate(COPRIME_DENOMINATORS)]
+    with refusals() as refused:
+        scaled = integer_scaled(poly)
+    assert len(refused) == 1
+    xs, ys = zip(*scaled)
+    assert list(xs) == [x for x, _ in poly]
+    assert list(ys) == [t * t for t in range(len(poly))]
+    assert all(type(y) is int for y in ys)
+    assert strictly_convex_oracle(poly) and hull_oracle(poly)
+    assert is_strictly_convex(poly).verdict
+    assert is_strictly_convex_chain(poly).verdict
 
 
 def _primes(count):
