@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .fast_test import ConditionId, InvalidConditionId, condition_value
-from .geometry import Point, delta, integer_scaled, require_exact
+from .geometry import Point, _scale_all, _Scale, delta, require_exact
 
 DEFAULT_SEED_TRIANGLE = (Point(0, 0), Point(1, 0), Point(0, 1))
 
@@ -57,10 +57,10 @@ def _keeps_quasi_strict(polygon: Sequence[Point], vertex: Point) -> bool:
 
     Only the checks involving the new vertex are needed: the old open edges
     against it, and the two new edges against every old vertex: 3(k-1)
-    determinants, O(k).  They are taken on the integer_scaled points, whose
-    determinants have the same signs and cost int, not Fraction, products.
+    determinants, O(k).  The build loop passes its integer copy and the
+    candidate scaled to match, whose determinants have the same signs and
+    cost int, not Fraction, products.
     """
-    *polygon, vertex = integer_scaled((*polygon, vertex))
     k = len(polygon)
     last = polygon[k - 1]
     first = polygon[0]
@@ -76,38 +76,52 @@ def _keeps_quasi_strict(polygon: Sequence[Point], vertex: Point) -> bool:
     return True
 
 
-def _arc_step(polygon: tuple, omega: int) -> tuple:
-    """Append one vertex from arc omega to a quasi-strict polygon, k >= 3,
-    keeping it quasi-strict.  The input vertices stay a verbatim prefix.
+def _arc_steps(polygon: tuple, omegas) -> tuple:
+    """Append one vertex from arc omega, for each omega in turn, to a
+    quasi-strict polygon, k >= 3, keeping it quasi-strict.  The input
+    vertices stay a verbatim prefix.  Returns the grown polygon and its
+    integer copy: x scaled by one _Scale, y by another.
 
-    The frame map sends (0,0), (1,0), (0,1) to V0, V1, V[k-1]; the frame
-    coordinates (x, y) of V[k-2] follow from Cramer's rule.  Quasi-strictness
+    The input is scaled once; each candidate vertex then goes through both
+    scales, and when one grows by g the copy is multiplied by g, as _scan
+    does with its window.  The frame map sends (0,0), (1,0), (0,1) to V0, V1,
+    V[k-1]; the frame coordinates (x, y) of V[k-2] follow from Cramer's rule
+    on the copy, since they are ratios of two determinants.  Quasi-strictness
     makes delta(V0, V1, V[k-1]) nonzero, and _keeps_quasi_strict carries the
-    invariant over to the extended polygon.  x and y are ratios of two
-    determinants, so they are taken on the integer_scaled vertices; the
-    vertex map and the arc points stay in exact fractions.
+    invariant over to the extended polygon.  The vertex map and the arc
+    points stay in exact fractions.
     """
-    k = len(polygon)
-    v0, v1, before_last, last = integer_scaled(
-        (polygon[0], polygon[1], polygon[-2], polygon[-1]))
-    det = delta(v0, v1, last)
-    x = Fraction(delta(v0, before_last, last), det)
-    y = Fraction(delta(v0, v1, before_last), det)
-    (x0, y0), (x1, y1), (xl, yl) = polygon[0], polygon[1], polygon[-1]
-    # eps = 1/(t*2^j), t > 10*(1+|y|) (arc 1 takes any eps): its bits grow by
-    # one per attempt instead of compounding, as bound/(j+2) would at every
-    # step, which becomes unusable beyond a handful of vertices.
-    t = 2 if omega == 1 else math.floor(10 * (1 + abs(y))) + 1
-    budget = k * (k - 1) + 1
-    for j in range(budget):
-        fx, fy = _arc_point(omega, Fraction(1, t << j), x, y)
-        vertex = Point((x1 - x0) * fx + (xl - x0) * fy + x0,
-                       (y1 - y0) * fx + (yl - y0) * fy + y0)
-        if _keeps_quasi_strict(polygon, vertex):
-            return polygon + (vertex,)
-    # The budget guarantees an admissible point, so this is a bug guard.
-    raise RuntimeError(
-        f"no admissible arc point within {budget} attempts (k={k})")
+    sx, sy = _Scale(), _Scale()
+    scaled = _scale_all(polygon, sx, sy)
+    for omega in omegas:
+        k = len(polygon)
+        (v0, v1), (before_last, last) = scaled[:2], scaled[-2:]
+        det = delta(v0, v1, last)
+        x = Fraction(delta(v0, before_last, last), det)
+        y = Fraction(delta(v0, v1, before_last), det)
+        (x0, y0), (x1, y1), (xl, yl) = polygon[0], polygon[1], polygon[-1]
+        # eps = 1/(t*2^j), t > 10*(1+|y|) (arc 1 takes any eps): its bits grow
+        # by one per attempt instead of compounding, as bound/(j+2) would at
+        # every step, which becomes unusable beyond a handful of vertices.
+        t = 2 if omega == 1 else math.floor(10 * (1 + abs(y))) + 1
+        budget = k * (k - 1) + 1
+        for j in range(budget):
+            fx, fy = _arc_point(omega, Fraction(1, t << j), x, y)
+            vertex = Point((x1 - x0) * fx + (xl - x0) * fy + x0,
+                           (y1 - y0) * fx + (yl - y0) * fy + y0)
+            (qx, gx), (qy, gy) = sx.scale(vertex.x), sy.scale(vertex.y)
+            if gx != 1 or gy != 1:
+                scaled = [(px * gx, py * gy) for px, py in scaled]
+            if _keeps_quasi_strict(scaled, (qx, qy)):
+                polygon += (vertex,)
+                scaled.append((qx, qy))
+                break
+        else:
+            # The budget guarantees an admissible point, so this is a
+            # bug guard.
+            raise RuntimeError(
+                f"no admissible arc point within {budget} attempts (k={k})")
+    return polygon, scaled
 
 
 def _require_strict_seed(seed_triangle: Sequence[Point]) -> tuple:
@@ -130,10 +144,7 @@ def make_strictly_convex(n: int, seed_triangle=DEFAULT_SEED_TRIANGLE) -> tuple:
     """
     if not isinstance(n, int) or n < 3:
         raise ValueError(f"n must be an int >= 3, got {n!r}")
-    polygon = _require_strict_seed(seed_triangle)
-    while len(polygon) < n:
-        polygon = _arc_step(polygon, 0)
-    return polygon
+    return _arc_steps(_require_strict_seed(seed_triangle), [0] * (n - 3))[0]
 
 
 def make_minimality_witness(n: int, target,
@@ -153,18 +164,17 @@ def make_minimality_witness(n: int, target,
             or not 2 <= i <= n - 2:
         raise InvalidConditionId(
             f"target (omega={omega}, i={i}) invalid for n={n}")
-    polygon = _require_strict_seed(seed_triangle)
-    while len(polygon) < n:
-        polygon = _arc_step(polygon, omega if len(polygon) == i + 1 else 0)
-    _verify_witness_pattern(polygon, ConditionId(omega, i))
+    omegas = [omega if k == i + 1 else 0 for k in range(3, n)]
+    polygon, scaled = _arc_steps(_require_strict_seed(seed_triangle), omegas)
+    _verify_witness_pattern(scaled, ConditionId(omega, i))
     return polygon
 
 
 def _verify_witness_pattern(polygon: Sequence[Point], target: ConditionId):
     k = len(polygon)
-    # Each condition is a product of two determinants, so scaling multiplies
-    # it by (Dx*Dy)^2 > 0 and keeps its sign.
-    polygon = integer_scaled(polygon)
+    # The polygon is the build's integer copy.  Each condition is a product
+    # of two determinants, so scaling multiplies it by (Dx*Dy)^2 > 0 and
+    # keeps its sign.
     for i in range(2, k - 1):
         for omega in (1, 2, 3):
             value = condition_value(polygon, ConditionId(omega, i))

@@ -8,8 +8,10 @@ anywhere in this package: every verdict is a pure sign decision, and a single
 rounding error near a collinear configuration could flip it.
 
 ``_Scale`` holds the one rule, and its guard, by which every decider in the
-package turns a rational axis into ints: ``integer_scaled`` applies it to a
-whole point list at once, ``fast_test`` as it streams.
+package, and the generator, turns a rational axis into ints:
+``integer_scaled`` applies it to a whole point list at once for the oracles;
+``fast_test`` applies it as it streams, and the generator as it grows a
+polygon one vertex at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -67,7 +69,8 @@ def require_exact(vertices) -> set:
 
     Subclasses of either pass, bool among them; any other type is refused.
     Returns the set of coordinate types.  ``integer_scaled``, and through it
-    each oracle, calls this on its whole input; the linear deciders check
+    each oracle, calls this on its whole input, and the generator on its
+    seed alone, since every vertex it adds is exact; the linear deciders check
     coordinates as they read them, calling this on any that is neither an
     int nor a Fraction, and on the points left after a fail-fast stop.
     Floats would decide signs with rounded arithmetic, and so would Decimal,
@@ -139,13 +142,15 @@ class _Scale:
         return factor
 
 
-def integer_scaled(points: Sequence[Point]) -> list:
+def integer_scaled(points: Iterable[Point]) -> list:
     """The points as (x, y) pairs, each axis scaled to ints by a ``_Scale``,
-    or left unscaled where its guard refuses.  Points whose coordinates are
-    all ints come back as they are: the type scan of ``require_exact``,
-    which checks the input, finds them."""
+    or left unscaled where its guard refuses.  The input is read once, into
+    a list, so any iterable will do.  Points whose coordinates are all ints
+    come back as they are: the type scan of ``require_exact``, which checks
+    the input, finds them."""
+    points = list(points)
     if require_exact(points) <= {int}:
-        return list(points)
+        return points
     return _scale_all(points, _Scale(), _Scale())
 
 

@@ -15,15 +15,18 @@ order and equality, and every point is scaled by the same settled one, so a
 fault there cannot make an oracle agree with a wrong scan.  The window
 update that could corrupt a scan is in ``fast_test._scan`` alone.
 
-The oracles are built on three definition-level predicates, ``is_strict``,
-``is_quasi_strict`` and ``strictly_one_side``: each checks its defining
-property directly, with clarity over speed.  They take checked coordinates;
-each oracle checks its input once, in ``integer_scaled``.
+Three definition-level predicates, ``is_strict``, ``is_quasi_strict`` and
+``strictly_one_side``, each check their defining property directly, with
+clarity over speed.  The sidedness oracle is built on ``strictly_one_side``,
+the hull oracle on ``is_strict``; ``is_quasi_strict`` checks the property
+that the generator keeps at every step.  The predicates take checked
+coordinates; each oracle checks its input once, in ``integer_scaled``,
+which reads it once, so any iterable will do.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .geometry import Point, delta, integer_scaled, require_exact, sign_of
 
@@ -86,13 +89,13 @@ def strictly_one_side(targets: Sequence[Point], seg_start: Point,
     return True
 
 
-def strictly_convex_oracle(vertices: Sequence[Point]) -> bool:
+def strictly_convex_oracle(vertices: Iterable[Point]) -> bool:
     """All n edges, closing edge included, have every other vertex strictly
     to one side.  O(n^2)."""
+    vertices = integer_scaled(vertices)
     n = len(vertices)
     if n < 3:
         raise TooFewVertices(f"oracle needs n >= 3, got {n}")
-    vertices = integer_scaled(vertices)
     for i in range(n):
         j = (i + 1) % n
         targets = [vertices[k] for k in range(n) if k != i and k != j]
@@ -145,7 +148,7 @@ def matches_hull_order(vertices: Sequence[Point]) -> bool:
     return seq == hull or seq[:0:-1] == hull[1:]
 
 
-def hull_oracle(vertices: Sequence[Point]) -> bool:
+def hull_oracle(vertices: Iterable[Point]) -> bool:
     """Strict convexity via the hull: the sequence walks the hull boundary,
     and no three vertices are collinear.  O(n^3) in the worst case: the
     collinearity check visits every vertex triple.  The cheaper order check

@@ -12,9 +12,10 @@ import pytest
 from polyconvex import cli
 from polyconvex.cli import main
 from polyconvex.fast_test import ConditionId
-from polyconvex.generator import make_minimality_witness, parabola_polygon
+from polyconvex.generator import (make_minimality_witness,
+                                  make_strictly_convex, parabola_polygon)
 from polyconvex.geometry import Point
-from polyconvex.polyfile import (format_polygon, format_scalar,
+from polyconvex.polyfile import (MAX_DIGITS, format_polygon, format_scalar,
                                  write_polygon_file)
 
 SQUARE_TEXT = "0 0\n1 0\n1 1\n0 1\n"
@@ -230,6 +231,25 @@ def test_generate_beyond_the_cap_exits_2_at_once(mode, n, tmp_path, capsys):
     assert f"--n must be <= {cli.MAX_GENERATE_N}" in capsys.readouterr().err
     assert not out.exists()
 
+
+def largest_part(polygon) -> int:
+    """The largest |numerator| or denominator among the coordinates."""
+    return max(abs(part) for point in polygon for value in point
+               for part in Fraction(value).as_integer_ratio())
+
+
+def test_the_generate_cap_is_the_last_n_a_file_can_hold(tmp_path):
+    # A value has more than MAX_DIGITS digits iff it is >= 10**MAX_DIGITS;
+    # comparing avoids printing numbers that long.
+    limit = 10 ** MAX_DIGITS
+    n = cli.MAX_GENERATE_N
+    assert largest_part(make_strictly_convex(n)) < limit
+    assert largest_part(make_minimality_witness(n, ConditionId(2, 30))) < limit
+    assert largest_part(make_strictly_convex(n + 1)) >= limit
+    out = tmp_path / "convex.txt"
+    assert main(["generate", "--mode", "convex", "--n", str(n),
+                 "--out", str(out)]) == 0
+    assert main(["check", str(out)]) == 0
 
 @pytest.mark.parametrize("text, code, out", [
     (SQUARE_TEXT, 0, "strictly-convex\n"),

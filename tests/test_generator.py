@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polyconvex import generator
+from polyconvex import generator, geometry
 from polyconvex.fast_test import (ConditionId, InvalidConditionId,
                                   condition_value, is_strictly_convex)
 from polyconvex.generator import (DEFAULT_SEED_TRIANGLE, NotQuasiStrictInput,
@@ -28,7 +28,7 @@ def conditions_at_new_index(polygon):
 
 
 def test_extend_all_hold_satisfies_new_conditions():
-    quad = generator._arc_step(TRIANGLE, 0)
+    quad = generator._arc_steps(TRIANGLE, [0])[0]
     assert len(quad) == 4 and quad[:3] == TRIANGLE
     assert is_quasi_strict(quad)
     assert conditions_at_new_index(quad) == {1: True, 2: True, 3: True}
@@ -38,7 +38,7 @@ def test_extend_all_hold_satisfies_new_conditions():
 @pytest.mark.parametrize("omega", [1, 2, 3],
                          ids=["Arc.NEG_C1-1", "Arc.NEG_C2-2", "Arc.NEG_C3-3"])
 def test_extend_negating_variants(omega):
-    quad = generator._arc_step(TRIANGLE, omega)
+    quad = generator._arc_steps(TRIANGLE, [omega])[0]
     assert is_quasi_strict(quad)
     held = conditions_at_new_index(quad)
     assert held == {family: family != omega for family in (1, 2, 3)}
@@ -52,7 +52,7 @@ quasi_strict_polygons = st.lists(
 @given(polygon=quasi_strict_polygons, omega=st.sampled_from([0, 1, 2, 3]))
 def test_extension_plants_its_arc_pattern_on_any_quasi_strict_input(
         polygon, omega):
-    bigger = generator._arc_step(polygon, omega)
+    bigger = generator._arc_steps(polygon, [omega])[0]
     assert bigger[:len(polygon)] == polygon
     assert is_quasi_strict(bigger)
     held = conditions_at_new_index(bigger)
@@ -63,11 +63,11 @@ def test_extension_plants_its_arc_pattern_on_any_quasi_strict_input(
 def test_arc_step_retries_a_smaller_eps_when_the_first_point_is_collinear(
         omega, monkeypatch):
     hexagon = make_strictly_convex(6)
-    # The point of the first attempt, j = 0: what _arc_step returns when
+    # The point of the first attempt, j = 0: what _arc_steps appends when
     # every candidate is accepted.  It depends only on V0, V1, V4 and V5.
     with monkeypatch.context() as patch:
         patch.setattr(generator, "_keeps_quasi_strict", lambda *_: True)
-        first = generator._arc_step(hexagon, omega)[-1]
+        first = generator._arc_steps(hexagon, [omega])[0][-1]
     # Moving V2 onto the segment from V3 to that point puts the point on the
     # line through V2 and V3.
     v3 = hexagon[3]
@@ -75,12 +75,111 @@ def test_arc_step_retries_a_smaller_eps_when_the_first_point_is_collinear(
     moved = hexagon[:2] + (midpoint,) + hexagon[3:]
     assert is_quasi_strict(moved)
     assert not generator._keeps_quasi_strict(moved, first)
-    bigger = generator._arc_step(moved, omega)
+    bigger = generator._arc_steps(moved, [omega])[0]
     assert bigger[:6] == moved and bigger[-1] != first
     assert is_quasi_strict(bigger)
     held = conditions_at_new_index(bigger)
     assert held == {family: family != omega for family in (1, 2, 3)}
 
+
+def axis_factor(exact, scaled):
+    """The one d with scaled == d * exact at every coordinate of an axis."""
+    ratios = {Fraction(s) / e for e, s in zip(exact, scaled) if e}
+    assert len(ratios) == 1, ratios
+    (d,) = ratios
+    assert all(s == d * e for e, s in zip(exact, scaled))
+    return d
+
+
+def assert_positive_multiple(polygon, scaled):
+    """scaled[i] == (dx * x_i, dy * y_i) for every i, with dx, dy > 0."""
+    assert len(scaled) == len(polygon)
+    for exact_axis, scaled_axis in zip(zip(*polygon), zip(*scaled)):
+        assert axis_factor(exact_axis, scaled_axis) > 0
+
+
+# The integer copy is exact only while every growth of a scale multiplies
+# it by g; a wrong copy could still give exact output but accept a collinear
+# vertex, so it is checked against the polygon itself.
+@given(polygon=quasi_strict_polygons,
+       omegas=st.lists(st.sampled_from([0, 1, 2, 3]), min_size=1, max_size=4))
+def test_the_integer_copy_stays_a_positive_per_axis_multiple(polygon, omegas):
+    bigger, scaled = generator._arc_steps(polygon, omegas)
+    assert bigger[:len(polygon)] == polygon
+    assert len(bigger) == len(polygon) + len(omegas)
+    assert_positive_multiple(bigger, scaled)
+
+
+@pytest.mark.parametrize("omega", [0, 1, 2, 3])
+def test_a_rejected_candidate_keeps_the_copy_a_multiple(omega, monkeypatch):
+    # The hexagon of the retry test above, whose first candidate is
+    # rejected: its denominators stay in the scales.
+    hexagon = make_strictly_convex(6)
+    with monkeypatch.context() as patch:
+        patch.setattr(generator, "_keeps_quasi_strict", lambda *_: True)
+        first = generator._arc_steps(hexagon, [omega])[0][-1]
+    v3 = hexagon[3]
+    midpoint = P(Fraction(v3.x + first.x, 2), Fraction(v3.y + first.y, 2))
+    moved = hexagon[:2] + (midpoint,) + hexagon[3:]
+    bigger, scaled = generator._arc_steps(moved, [omega, 0])
+    assert bigger[6] != first
+    assert_positive_multiple(bigger, scaled)
+
+
+def test_a_refusal_mid_build_turns_the_copy_back_to_the_exact_values(
+        monkeypatch):
+    # The guard does not refuse on this seed, so it is made to refuse at
+    # the first growth of the x scale, d = 3, after the seed is scaled: the
+    # factor it returns must turn the copy back into the exact x values.
+    seed = (P(0, 0), P(Fraction(1, 3), 0), P(0, 1))
+    scale = geometry._Scale.scale
+    armed = []
+
+    def refusing(self, value):
+        scaled, g = scale(self, value)
+        if g != 1 and armed and self is armed[0]:
+            armed.clear()
+            return value, g * self.refuse()
+        return scaled, g
+
+    def seeded(points, sx, sy):
+        scaled = geometry._scale_all(points, sx, sy)
+        armed.append(sx)
+        return scaled
+
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry._Scale, "scale", refusing)
+        patch.setattr(generator, "_scale_all", seeded)
+        polygon, scaled = generator._arc_steps(seed, [0, 0, 2, 0])
+    assert not armed
+    assert axis_factor([x for x, _ in polygon], [x for x, _ in scaled]) == 1
+    assert_positive_multiple(polygon, scaled)
+    assert polygon == make_minimality_witness(7, ConditionId(2, 4), seed)
+
+
+def count_calls(monkeypatch, name, modules):
+    """Count the calls of ``name`` made through any of ``modules``."""
+    calls = []
+    for module in modules:
+        original = getattr(module, name)
+
+        def counting(*args, original=original):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_strictly_convex(20),
+    lambda: make_minimality_witness(12, ConditionId(2, 7)),
+], ids=["convex-20", "witness-12-C2-7"])
+def test_a_build_checks_and_scales_its_seed_once(build, monkeypatch):
+    checks = count_calls(monkeypatch, "require_exact", (geometry, generator))
+    scalings = count_calls(monkeypatch, "_scale_all", (geometry, generator))
+    build()
+    assert (len(checks), len(scalings)) == (1, 1)
 
 # SHA-256 of format_polygon output, recorded before the frame map was built
 # directly instead of through a double inverse: the exact output must not move.
@@ -113,7 +212,7 @@ def test_generator_output_is_pinned(name):
 def test_extend_preserves_prefix_verbatim():
     poly = TRIANGLE
     for omega in (0, 3, 0):
-        bigger = generator._arc_step(poly, omega)
+        bigger = generator._arc_steps(poly, [omega])[0]
         assert bigger[:len(poly)] == tuple(poly)
         assert len(bigger) == len(poly) + 1
         poly = bigger
@@ -122,7 +221,7 @@ def test_extend_preserves_prefix_verbatim():
 def test_extend_all_hold_preserves_passing_verdict():
     poly = TRIANGLE
     for _ in range(6):
-        poly = generator._arc_step(poly, 0)
+        poly = generator._arc_steps(poly, [0])[0]
         assert is_strictly_convex(poly).verdict
 
 

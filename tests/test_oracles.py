@@ -39,6 +39,12 @@ def test_oracles_need_three_vertices(vertices):
         hull_oracle(vertices)
 
 
+@pytest.mark.parametrize("oracle", [strictly_convex_oracle, hull_oracle])
+@pytest.mark.parametrize("polygon", [SQUARE, SWAPPED_SQUARE],
+                         ids=["square", "swapped-square"])
+def test_oracles_read_a_one_shot_iterable_once(oracle, polygon):
+    assert oracle(iter(polygon)) == oracle(polygon)
+
 def test_hull_oracle_accepts_square():
     assert hull_oracle(SQUARE)
 

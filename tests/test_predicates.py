@@ -86,7 +86,7 @@ def test_generated_quasi_strict_polygons_are_ordinary():
     polygons = [make_strictly_convex(n) for n in range(3, 9)]
     polygons += [make_minimality_witness(6, ConditionId(omega, i))
                  for omega in (1, 2, 3) for i in (2, 3, 4)]
-    polygons.append(generator._arc_step(make_strictly_convex(5), 2))
+    polygons.append(generator._arc_steps(make_strictly_convex(5), [2])[0])
     # For n >= 3, quasi-strict already rules out two equal vertices.
     for poly in polygons:
         assert is_quasi_strict(poly)
