@@ -21,7 +21,9 @@ quasi-strict; the search below always terminates within that budget.
 Iterating arc 0 grows strictly convex polygons of any size.  Splicing in one
 violating step yields, for every condition of the linear test, a quasi-strict
 polygon failing that condition alone: the witnesses showing that none of the
-3(n-3) checks can be dropped.
+3(n-3) checks can be dropped.  Each witness is checked once against the
+linear test's own sign table, so the condition it fails is the one the test
+reads.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .fast_test import ConditionId, InvalidConditionId, condition_value
+from .fast_test import InvalidConditionId, is_strictly_convex
 from .geometry import Point, _scale_all, _Scale, delta, require_exact
 
 DEFAULT_SEED_TRIANGLE = (Point(0, 0), Point(1, 0), Point(0, 1))
@@ -155,9 +157,9 @@ def make_minimality_witness(n: int, target,
     vertices, the next vertex is drawn from arc target.omega, planting the
     single failure at index target.i.  Condition (omega, i) reads only V0,
     V1 and V[i-1..i+1], so later steps, which only append vertices, leave it
-    untouched, and each new index gets an arc 0 vertex.  As a guard, the
-    sign pattern of the finished polygon is verified once from raw
-    determinant products.
+    untouched, and each new index gets an arc 0 vertex.  As a guard, one
+    explain scan of the finished polygon must find the target, and only
+    the target, violated.
     """
     omega, i = target
     if not isinstance(n, int) or n < 4 or omega not in (1, 2, 3) \
@@ -166,24 +168,22 @@ def make_minimality_witness(n: int, target,
             f"target (omega={omega}, i={i}) invalid for n={n}")
     omegas = [omega if k == i + 1 else 0 for k in range(3, n)]
     polygon, scaled = _arc_steps(_require_strict_seed(seed_triangle), omegas)
-    _verify_witness_pattern(scaled, ConditionId(omega, i))
+    _verify_witness_pattern(scaled, (omega, i))
     return polygon
 
 
-def _verify_witness_pattern(polygon: Sequence[Point], target: ConditionId):
-    k = len(polygon)
-    # The polygon is the build's integer copy.  Each condition is a product
-    # of two determinants, so scaling multiplies it by (Dx*Dy)^2 > 0 and
-    # keeps its sign.
-    for i in range(2, k - 1):
-        for omega in (1, 2, 3):
-            value = condition_value(polygon, ConditionId(omega, i))
-            expect_violated = (omega, i) == target
-            if (value <= 0) != expect_violated:
-                raise RuntimeError(
-                    f"internal: condition ({omega}, {i}) "
-                    f"{'held' if expect_violated else 'flipped'} "
-                    f"at {k} vertices while building witness for {target}")
+def _verify_witness_pattern(scaled: list, target: tuple):
+    # The polygon is the build's integer copy.  Each table sign is that of
+    # one determinant, which scaling multiplies by Dx*Dy > 0.
+    a, b, c = is_strictly_convex(scaled, explain=True).signs
+    violated = [(omega, i) for i, (a_i, b_i, b_next, c_i, c_next)
+                in enumerate(zip(a, b, b[1:], c, c[1:]), 2)
+                for omega, value in enumerate(
+                    (a_i * b_i, a_i * b_next, c_i * c_next), 1)
+                if value <= 0]
+    if violated != [target]:
+        raise RuntimeError(
+            f"internal: the witness for {target} violates {violated}")
 
 
 def random_polygon(n: int, grid: int, rng_seed: int) -> tuple:

@@ -113,6 +113,7 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
     corners (extreme points) are emitted; degenerate inputs (fewer than three
     distinct points, or all collinear) come back as their sorted extremes.
     """
+    points = list(points)
     require_exact(points)
     pts = sorted(set(points))
     if len(pts) <= 2:

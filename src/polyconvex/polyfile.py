@@ -149,6 +149,7 @@ def format_scalar(value) -> str:
 
 
 def format_polygon(vertices: Sequence[Point]) -> str:
+    vertices = tuple(vertices)
     require_exact(vertices)
     return "".join(f"{format_scalar(x)} {format_scalar(y)}\n"
                    for x, y in vertices)

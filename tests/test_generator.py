@@ -298,6 +298,26 @@ def test_minimality_witness_violates_exactly_target(n, omega, i):
     assert violated == [(omega, i)]
 
 
+def test_minimality_witness_violates_exactly_target_beyond_n_12():
+    n = 56
+    witness = make_minimality_witness(n, ConditionId(2, 30))
+    violated = [(o, j) for j in range(2, n - 1) for o in (1, 2, 3)
+                if condition_value(witness, ConditionId(o, j)) <= 0]
+    assert violated == [(2, 30)]
+
+
+@pytest.mark.parametrize("planted", [0, 3], ids=["arc-0", "wrong-family"])
+def test_the_witness_guard_refuses_a_wrong_pattern(monkeypatch, planted):
+    # The target step draws from arc `planted` instead of arc 2, so the
+    # finished polygon violates no condition, or (3, 3) instead of (2, 3).
+    arc_steps = generator._arc_steps
+    monkeypatch.setattr(generator, "_arc_steps", lambda polygon, omegas:
+                        arc_steps(polygon, [omega and planted
+                                            for omega in omegas]))
+    with pytest.raises(RuntimeError, match=r"\(2, 3\)"):
+        make_minimality_witness(7, ConditionId(2, 3))
+
+
 @pytest.mark.parametrize("n, omega, i", [
     (4, 2, 3),   # i beyond n-2
     (4, 0, 2),   # bad family

@@ -115,6 +115,11 @@ def test_convex_hull_square_with_interior_points():
     assert sorted(convex_hull(pts)) == [P(0, 0), P(0, 3), P(3, 0), P(3, 3)]
 
 
+def test_convex_hull_reads_a_one_shot_iterable_once():
+    pts = [P(0, 0), P(3, 0), P(3, 3), P(0, 3), P(1, 1), P(2, 1)]
+    assert convex_hull(iter(pts)) == convex_hull(pts)
+
+
 def test_convex_hull_skips_edge_midpoints():
     pts = [P(0, 0), P(1, 0), P(2, 0), P(2, 2), P(0, 2)]
     assert sorted(convex_hull(pts)) == [P(0, 0), P(0, 2), P(2, 0), P(2, 2)]

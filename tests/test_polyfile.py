@@ -94,6 +94,15 @@ def test_file_round_trip(tmp_path):
     assert read_polygon_file(path) == poly
 
 
+def test_a_one_shot_iterable_is_written_whole(tmp_path):
+    square = (P(0, 0), P(1, 0), P(1, 1), P(0, 1))
+    assert format_polygon(iter(square)) == format_polygon(square)
+    path = tmp_path / "poly.txt"
+    write_polygon_file(path, (p for p in square))
+    assert path.read_text() == format_polygon(square)
+    assert read_polygon_file(path) == square
+
+
 def fraction_only(token):
     """The token grammar without the int() fast path: the exponent cap, then
     Fraction alone decides, then a value str() cannot write back is refused.
