@@ -14,9 +14,9 @@ All arithmetic is exact rational; there are no tolerances anywhere.
 from .fast_test import (ConditionId, ConvexityReport, InvalidConditionId,
                         SignTable, condition_value, is_strictly_convex,
                         is_strictly_convex_chain)
-from .generator import (DEFAULT_SEED_TRIANGLE, NotQuasiStrictInput,
-                        make_minimality_witness, make_strictly_convex,
-                        parabola_polygon, random_polygon)
+from .generator import (DEFAULT_SEED_TRIANGLE, make_minimality_witness,
+                        make_strictly_convex, parabola_polygon,
+                        random_polygon)
 from .geometry import Point, Scalar, delta, delta_evaluations, sign_of
 from .oracles import (TooFewVertices, convex_hull, hull_oracle,
                       is_quasi_strict, is_strict, matches_hull_order,
@@ -28,8 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConditionId", "ConvexityReport", "DEFAULT_SEED_TRIANGLE",
-    "InvalidConditionId", "NotQuasiStrictInput",
-    "Point", "PolygonParseError", "Scalar", "SignTable",
+    "InvalidConditionId", "Point", "PolygonParseError", "Scalar", "SignTable",
     "TooFewVertices", "condition_value", "convex_hull", "delta",
     "delta_evaluations", "format_polygon", "hull_oracle",
     "is_quasi_strict", "is_strict", "is_strictly_convex",

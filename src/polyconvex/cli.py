@@ -23,10 +23,10 @@ from .oracles import hull_oracle, strictly_convex_oracle
 from .polyfile import (MAX_DIGITS, PolygonParseError, iter_polygon,
                        write_polygon_file)
 
-# Largest `generate --n`.  With the default seed, the coordinates of
-# make_strictly_convex(56) and of every witness at n = 56 have at most 4,178
-# digits; at n = 57 they reach 4,338, past what a polygon file can hold
-# (MAX_DIGITS), and each further vertex costs more to build.
+# Largest `generate --n`.  The coordinates of make_strictly_convex(56) and
+# of every witness at n = 56 have at most 4,178 digits; at n = 57 they
+# reach 4,338, past what a polygon file can hold (MAX_DIGITS), and each
+# further vertex costs more to build.
 MAX_GENERATE_N = 56
 
 # Sign cells per write of a --explain row, and the text after "i" in a cell.

@@ -34,13 +34,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .fast_test import InvalidConditionId, is_strictly_convex
-from .geometry import Point, _scale_all, _Scale, delta, require_exact
+from .geometry import Point, _scale_all, _Scale, delta
 
 DEFAULT_SEED_TRIANGLE = (Point(0, 0), Point(1, 0), Point(0, 1))
-
-
-class NotQuasiStrictInput(ValueError):
-    """The generator needs a seed triangle whose vertices are not collinear."""
 
 
 def _arc_point(omega: int, eps: Fraction, x, y) -> tuple:
@@ -91,7 +87,9 @@ def _arc_steps(polygon: tuple, omegas) -> tuple:
     on the copy, since they are ratios of two determinants.  Quasi-strictness
     makes delta(V0, V1, V[k-1]) nonzero, and _keeps_quasi_strict carries the
     invariant over to the extended polygon.  The vertex map and the arc
-    points stay in exact fractions.
+    points stay in exact fractions.  The input is not checked: scaling it
+    raises TypeError on an inexact coordinate, and the factories pass
+    DEFAULT_SEED_TRIANGLE.
     """
     sx, sy = _Scale(), _Scale()
     scaled = _scale_all(polygon, sx, sy)
@@ -126,18 +124,8 @@ def _arc_steps(polygon: tuple, omegas) -> tuple:
     return polygon, scaled
 
 
-def _require_strict_seed(seed_triangle: Sequence[Point]) -> tuple:
-    require_exact(seed_triangle)
-    if len(seed_triangle) != 3:
-        raise NotQuasiStrictInput(
-            f"seed must be a triangle, got {len(seed_triangle)} vertices")
-    if delta(*seed_triangle) == 0:
-        raise NotQuasiStrictInput("seed triangle is collinear")
-    return tuple(seed_triangle)
-
-
-def make_strictly_convex(n: int, seed_triangle=DEFAULT_SEED_TRIANGLE) -> tuple:
-    """Strictly convex n-gon grown from a strict seed triangle by arc 0
+def make_strictly_convex(n: int) -> tuple:
+    """Strictly convex n-gon grown from DEFAULT_SEED_TRIANGLE by arc 0
     steps.  Deterministic; no randomness in the construction path.
 
     Exact coordinates of the arc construction need on the order of k^2 bits
@@ -146,12 +134,12 @@ def make_strictly_convex(n: int, seed_triangle=DEFAULT_SEED_TRIANGLE) -> tuple:
     """
     if not isinstance(n, int) or n < 3:
         raise ValueError(f"n must be an int >= 3, got {n!r}")
-    return _arc_steps(_require_strict_seed(seed_triangle), [0] * (n - 3))[0]
+    return _arc_steps(DEFAULT_SEED_TRIANGLE, [0] * (n - 3))[0]
 
 
-def make_minimality_witness(n: int, target,
-                            seed_triangle=DEFAULT_SEED_TRIANGLE) -> tuple:
-    """Quasi-strict n-gon violating exactly the target condition.
+def make_minimality_witness(n: int, target) -> tuple:
+    """Quasi-strict n-gon, grown from DEFAULT_SEED_TRIANGLE, violating
+    exactly the target condition.
 
     Steps on arc 0 everywhere except one: when the polygon has target.i + 1
     vertices, the next vertex is drawn from arc target.omega, planting the
@@ -167,7 +155,7 @@ def make_minimality_witness(n: int, target,
         raise InvalidConditionId(
             f"target (omega={omega}, i={i}) invalid for n={n}")
     omegas = [omega if k == i + 1 else 0 for k in range(3, n)]
-    polygon, scaled = _arc_steps(_require_strict_seed(seed_triangle), omegas)
+    polygon, scaled = _arc_steps(DEFAULT_SEED_TRIANGLE, omegas)
     _verify_witness_pattern(scaled, (omega, i))
     return polygon
 

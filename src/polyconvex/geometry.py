@@ -69,10 +69,10 @@ def require_exact(vertices) -> set:
 
     Subclasses of either pass, bool among them; any other type is refused.
     Returns the set of coordinate types.  ``integer_scaled``, and through it
-    each oracle, calls this on its whole input, and the generator on its
-    seed alone, since every vertex it adds is exact; the linear deciders check
-    coordinates as they read them, calling this on any that is neither an
-    int nor a Fraction, and on the points left after a fail-fast stop.
+    each oracle, calls this on its whole input, as do the hull helpers and
+    the definition-level predicates; the linear deciders check coordinates
+    as they read them, calling this on any that is neither an int nor a
+    Fraction, and on the points left after a fail-fast stop.
     Floats would decide signs with rounded arithmetic, and so would Decimal,
     which rounds each product to its context precision; numpy integers wrap
     at 64 bits.  Convert such values exactly with int() or

@@ -5,8 +5,9 @@ comparison with the boundary order of the convex hull (Andrew's monotone
 chain, O(n log n)) followed by a no-three-collinear check that visits every
 vertex triple, O(n^3).  They share nothing with the linear-time test beyond
 the orientation determinant and the choice of scale (below), so three-way
-agreement is meaningful evidence rather than an echo.  Like the linear-time deciders, both oracles and the
-hull helpers raise TypeError on a coordinate that is not an exact rational.
+agreement is meaningful evidence rather than an echo.  Like the linear-time
+deciders, both oracles, the hull helpers and the predicates below raise
+TypeError on a coordinate that is not an exact rational.
 
 Both oracles then decide in integers, on the input's
 ``geometry.integer_scaled`` points.  That code, shared with the linear
@@ -19,9 +20,10 @@ Three definition-level predicates, ``is_strict``, ``is_quasi_strict`` and
 ``strictly_one_side``, each check their defining property directly, with
 clarity over speed.  The sidedness oracle is built on ``strictly_one_side``,
 the hull oracle on ``is_strict``; ``is_quasi_strict`` checks the property
-that the generator keeps at every step.  The predicates take checked
-coordinates; each oracle checks its input once, in ``integer_scaled``,
-which reads it once, so any iterable will do.
+that the generator keeps at every step.  Each predicate checks its input
+at entry.  Each oracle checks its input once, in ``integer_scaled``, which
+reads it once, so any iterable will do; the sidedness oracle then runs
+the body of ``strictly_one_side`` without a check per edge.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ def is_strict(vertices: Sequence[Point]) -> bool:
 
     Exhaustive over all index triples; vacuously true for n <= 2.
     """
+    require_exact(vertices)
     n = len(vertices)
     for i in range(n - 2):
         vi = vertices[i]
@@ -57,6 +60,7 @@ def is_quasi_strict(vertices: Sequence[Point]) -> bool:
     Edges include the closing one (index n-1 wraps to 0); for n <= 2 there is
     no third vertex, so the check passes vacuously.
     """
+    require_exact(vertices)
     n = len(vertices)
     for i in range(n):
         nxt = (i + 1) % n
@@ -70,14 +74,22 @@ def is_quasi_strict(vertices: Sequence[Point]) -> bool:
     return True
 
 
-def strictly_one_side(targets: Sequence[Point], seg_start: Point,
+def strictly_one_side(targets: Iterable[Point], seg_start: Point,
                       seg_end: Point) -> bool:
     """Do all targets lie strictly on one common side of the segment's line?
 
     True iff the segment is non-degenerate and every orientation determinant
     delta(t, seg_start, seg_end) carries one shared nonzero sign; an empty
-    target list holds vacuously.
+    target list holds vacuously.  The targets are read once, so any
+    iterable will do.
     """
+    targets = list(targets)
+    require_exact([seg_start, seg_end, *targets])
+    return _one_side(targets, seg_start, seg_end)
+
+
+def _one_side(targets, seg_start, seg_end) -> bool:
+    """strictly_one_side on checked points."""
     if seg_start == seg_end:
         return False
     shared = 0
@@ -99,7 +111,7 @@ def strictly_convex_oracle(vertices: Iterable[Point]) -> bool:
     for i in range(n):
         j = (i + 1) % n
         targets = [vertices[k] for k in range(n) if k != i and k != j]
-        if not strictly_one_side(targets, vertices[i], vertices[j]):
+        if not _one_side(targets, vertices[i], vertices[j]):
             return False
     return True
 

@@ -1,4 +1,4 @@
-"""Plain-text polygon files.
+r"""Plain-text polygon files.
 
 One vertex per line: two whitespace-separated coordinates.  A coordinate is
 an integer ("3"), a fraction ("3/4") or a decimal ("0.25"); decimals convert
@@ -21,13 +21,15 @@ the shortcut.
 block of it at a time.  Each block is a 64 KB binary read followed by the
 rest of its last line, so it ends after a b"\n" or at the end of the file,
 holds whole lines and, since no UTF-8 multibyte sequence contains that byte,
-decodes on its own.  Nothing seeks, so a pipe reads like a file.  A block
-made only of lines of two plain integers (``-?[0-9]{1,MAX_DIGITS}``, separated
-by spaces or tabs, with an optional "\r"), as one regex match tells, is split
-and read by int() with no per-line code; any other block is decoded and read
-line by line by the same code as ``parse_polygon``, so values, messages and
-line numbers never depend on the blocks.  Errors come in file order: a bad
-line ahead of a non-UTF-8 byte is reported first.  ``parse_polygon`` and
+decodes on its own.  So a file with no b"\n", one huge line or lines
+ending in a bare "\r", is read as one block, held whole.  Nothing seeks,
+so a pipe reads like a file.  A block made only of lines of two plain
+integers (``-?[0-9]{1,MAX_DIGITS}``, separated by spaces or tabs, with an
+optional "\r"), as one regex match tells, is split and read by int() with
+no per-line code; any other block is decoded and read line by line by the
+same code as ``parse_polygon``, so values, messages and line numbers never
+depend on the blocks.  Errors come in file order: a bad line ahead of a
+non-UTF-8 byte is reported first.  ``parse_polygon`` and
 ``read_polygon_file`` give the vertices as a tuple of Points.
 """
 

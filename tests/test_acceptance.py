@@ -15,10 +15,11 @@ from fractions import Fraction
 
 import pytest
 
+from polyconvex import generator
 from polyconvex.fast_test import (ConditionId, condition_value,
                                   is_strictly_convex, is_strictly_convex_chain)
-from polyconvex.generator import (make_minimality_witness, make_strictly_convex,
-                                  parabola_polygon, random_polygon)
+from polyconvex.generator import (make_minimality_witness, parabola_polygon,
+                                  random_polygon)
 from polyconvex.geometry import Point, delta, delta_evaluations
 from polyconvex.oracles import (hull_oracle, is_quasi_strict, is_strict,
                                 matches_hull_order, strictly_convex_oracle)
@@ -171,7 +172,8 @@ def test_criterion_5_hereditariness():
     failures = 0
     raw_spot_checks = 0
     while checked < target_count:
-        chain = make_strictly_convex(20, strict_seed())
+        # make_strictly_convex(20) grown from a random seed triangle.
+        chain = generator._arc_steps(strict_seed(), [0] * 17)[0]
         for n in range(5, 21):
             if checked >= target_count:
                 break

@@ -21,8 +21,9 @@ from polyconvex.generator import (make_strictly_convex, parabola_polygon,
                                   random_polygon)
 from polyconvex.geometry import (Point, delta, delta_evaluations,
                                  integer_scaled, sign_of)
-from polyconvex.oracles import (convex_hull, hull_oracle, matches_hull_order,
-                                strictly_convex_oracle)
+from polyconvex.oracles import (convex_hull, hull_oracle, is_quasi_strict,
+                                is_strict, matches_hull_order,
+                                strictly_convex_oracle, strictly_one_side)
 
 P = Point
 SQUARE = (P(0, 0), P(1, 0), P(1, 1), P(0, 1))
@@ -299,9 +300,12 @@ def test_float_coordinates_are_rejected():
     assert strictly_convex_oracle(exact)
     assert condition_value(exact, ConditionId(1, 2)) > 0
     assert matches_hull_order(exact) and len(convex_hull(exact)) == 4
+    assert is_strict(exact) and is_quasi_strict(exact)
+    assert strictly_one_side(exact[2:], exact[0], exact[1])
     for decide in (is_strictly_convex, is_strictly_convex_chain,
                    strictly_convex_oracle, hull_oracle, convex_hull,
-                   matches_hull_order,
+                   matches_hull_order, is_strict, is_quasi_strict,
+                   lambda v: strictly_one_side(v[2:], v[0], v[1]),
                    lambda v: condition_value(v, ConditionId(1, 2))):
         with pytest.raises(TypeError, match="float"):
             decide(FLOAT_QUAD)

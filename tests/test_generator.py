@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from polyconvex import generator, geometry
 from polyconvex.fast_test import (ConditionId, InvalidConditionId,
                                   condition_value, is_strictly_convex)
-from polyconvex.generator import (DEFAULT_SEED_TRIANGLE, NotQuasiStrictInput,
+from polyconvex.generator import (DEFAULT_SEED_TRIANGLE,
                                   make_minimality_witness,
                                   make_strictly_convex, parabola_polygon,
                                   random_polygon)
@@ -59,19 +59,26 @@ def test_extension_plants_its_arc_pattern_on_any_quasi_strict_input(
     assert held == {family: family != omega for family in (1, 2, 3)}
 
 
-@pytest.mark.parametrize("omega", [0, 1, 2, 3])
+# V2 is moved to the midpoint of the first attempt's point and V3, V5 or
+# V0, which puts the point on the old edge from V2 to V3, or V2 on one of
+# the two new edges: from V5 = V[k-1] to the point, or from it to V0.  Each
+# is seen by its own loop of _keeps_quasi_strict.
+@pytest.mark.parametrize("omega, end", [
+    *(pytest.param(omega, 3, id=str(omega)) for omega in range(4)),
+    *(pytest.param(omega, end, id=f"{edge}-{omega}")
+      for end, edge in ((5, "edge-from-last"), (0, "edge-to-first"))
+      for omega in range(4)),
+])
 def test_arc_step_retries_a_smaller_eps_when_the_first_point_is_collinear(
-        omega, monkeypatch):
+        omega, end, monkeypatch):
     hexagon = make_strictly_convex(6)
     # The point of the first attempt, j = 0: what _arc_steps appends when
     # every candidate is accepted.  It depends only on V0, V1, V4 and V5.
     with monkeypatch.context() as patch:
         patch.setattr(generator, "_keeps_quasi_strict", lambda *_: True)
         first = generator._arc_steps(hexagon, [omega])[0][-1]
-    # Moving V2 onto the segment from V3 to that point puts the point on the
-    # line through V2 and V3.
-    v3 = hexagon[3]
-    midpoint = P(Fraction(v3.x + first.x, 2), Fraction(v3.y + first.y, 2))
+    v = hexagon[end]
+    midpoint = P(Fraction(v.x + first.x, 2), Fraction(v.y + first.y, 2))
     moved = hexagon[:2] + (midpoint,) + hexagon[3:]
     assert is_quasi_strict(moved)
     assert not generator._keeps_quasi_strict(moved, first)
@@ -154,7 +161,8 @@ def test_a_refusal_mid_build_turns_the_copy_back_to_the_exact_values(
     assert not armed
     assert axis_factor([x for x, _ in polygon], [x for x, _ in scaled]) == 1
     assert_positive_multiple(polygon, scaled)
-    assert polygon == make_minimality_witness(7, ConditionId(2, 4), seed)
+    # The build of the witness for (2, 4) at n = 7 from this seed.
+    assert polygon == generator._arc_steps(seed, [0, 0, 2, 0])[0]
 
 
 def count_calls(monkeypatch, name, modules):
@@ -175,11 +183,13 @@ def count_calls(monkeypatch, name, modules):
     lambda: make_strictly_convex(20),
     lambda: make_minimality_witness(12, ConditionId(2, 7)),
 ], ids=["convex-20", "witness-12-C2-7"])
-def test_a_build_checks_and_scales_its_seed_once(build, monkeypatch):
-    checks = count_calls(monkeypatch, "require_exact", (geometry, generator))
+def test_a_build_scales_its_seed_once(build, monkeypatch):
+    # The seed is a constant, so nothing is type-checked.
+    checks = count_calls(monkeypatch, "require_exact", (geometry,))
     scalings = count_calls(monkeypatch, "_scale_all", (geometry, generator))
     build()
-    assert (len(checks), len(scalings)) == (1, 1)
+    assert (len(checks), len(scalings)) == (0, 1)
+
 
 # SHA-256 of format_polygon output, recorded before the frame map was built
 # directly instead of through a double inverse: the exact output must not move.
@@ -188,7 +198,7 @@ PINNED_BUILDS = {
         lambda: make_strictly_convex(20),
         "07879145378ff88f1fb384811b9c403155e1b3a26a2d6ebff2b75e17d6f3e39c"),
     "custom-seed-12": (
-        lambda: make_strictly_convex(12, (P(2, 1), P(5, 2), P(3, 4))),
+        lambda: generator._arc_steps((P(2, 1), P(5, 2), P(3, 4)), [0] * 9)[0],
         "313eb9c565294e9bbbee0581cdcc7c5469a2404707cfb50de2836034031c8294"),
     "witness-12-C1-4": (
         lambda: make_minimality_witness(12, ConditionId(1, 4)),
@@ -245,14 +255,12 @@ def test_make_strictly_convex_50_passes_oracle():
 
 def test_make_strictly_convex_custom_seed():
     seed = (P(2, 1), P(5, 2), P(3, 4))
-    poly = make_strictly_convex(7, seed)
+    poly = generator._arc_steps(seed, [0] * 4)[0]
     assert poly[:3] == seed
     assert strictly_convex_oracle(poly)
 
 
 def test_make_strictly_convex_rejects_bad_seed():
-    with pytest.raises(NotQuasiStrictInput):
-        make_strictly_convex(5, (P(0, 0), P(1, 1), P(2, 2)))
     with pytest.raises(ValueError):
         make_strictly_convex(2)
 
@@ -263,11 +271,10 @@ def test_make_strictly_convex_rejects_a_non_int_n():
 
 
 def test_inexact_seed_is_refused_at_entry():
+    # Scaling the seed refuses it, before any step.
     seed = (P(0, 0), P(0.5, 0), P(0, 1))
     with pytest.raises(TypeError, match="exact rationals"):
-        make_strictly_convex(5, seed)
-    with pytest.raises(TypeError, match="exact rationals"):
-        make_minimality_witness(5, ConditionId(1, 2), seed)
+        generator._arc_steps(seed, [0, 0])
 
 
 def test_generator_is_deterministic():

@@ -80,16 +80,16 @@ def test_sidedness_oracle_examines_every_edge(monkeypatch):
     # No polygon can pass all open edges and fail only the closing one (all
     # vertices would be hull corners walked in boundary order, making the
     # closing pair hull-adjacent), so edge coverage is asserted directly:
-    # the sweep must consult all n edges, the closing one included.
+    # the sweep must consult all n edges, the closing one included.  It
+    # runs strictly_one_side's unchecked body once per edge.
     seen = []
-    import polyconvex.oracles as predicates_module
-    real = predicates_module.strictly_one_side
+    real = oracles_module._one_side
 
     def recording(targets, seg_start, seg_end):
         seen.append((seg_start, seg_end))
         return real(targets, seg_start, seg_end)
 
-    monkeypatch.setattr(oracles_module, "strictly_one_side", recording)
+    monkeypatch.setattr(oracles_module, "_one_side", recording)
     assert strictly_convex_oracle(SQUARE)
     assert len(seen) == 4
     assert seen[-1] == (SQUARE[3], SQUARE[0])
