@@ -21,7 +21,7 @@ from .fast_test import ConditionId, is_strictly_convex, is_strictly_convex_chain
 from .generator import make_minimality_witness, make_strictly_convex
 from .oracles import hull_oracle, strictly_convex_oracle
 from .polyfile import (MAX_DIGITS, PolygonParseError, iter_polygon,
-                       write_polygon_file)
+                       iter_scaled_polygon, write_polygon_file)
 
 # Largest `generate --n`.  The coordinates of make_strictly_convex(56) and
 # of every witness at n = 56 have at most 4,178 digits; at n = 57 they
@@ -90,17 +90,21 @@ def main(argv=None) -> int:
 
 
 def _cmd_check(args) -> int:
-    # The deciders read the file as a stream; only the oracles need the
-    # vertices held.
-    vertices = iter_polygon(args.file)
+    # The deciders read the file as a stream, each axis scaled to ints.  The
+    # oracles need the vertices held, and exact: under --oracle the deciders
+    # read those too, so that the cross-check does not rest on the scaling.
     if args.oracle:
-        vertices = tuple(vertices)
-    if args.chain:
-        report = is_strictly_convex_chain(vertices)
+        vertices = tuple(iter_polygon(args.file))
     else:
-        # Plain check prints no signs, so it collects none.
+        vertices = iter_scaled_polygon(args.file)
+    # Only --explain and --json print signs; no other run collects them.
+    collect_signs = args.explain or args.as_json
+    if args.chain:
+        report = is_strictly_convex_chain(vertices,
+                                          collect_signs=collect_signs)
+    else:
         report = is_strictly_convex(vertices, explain=args.explain,
-                                    collect_signs=args.explain or args.as_json)
+                                    collect_signs=collect_signs)
 
     oracle = None
     if args.oracle:

@@ -49,7 +49,8 @@ Base cases: every polygon with n <= 2 is strictly convex, and a triangle is
 strictly convex iff its three vertices are not collinear.
 
 The deciders take any iterable of (x, y) pairs and read it once, so a file
-can be decided as it is parsed (``polyfile.iter_polygon``).  A fail-fast
+can be decided as it is parsed (``polyfile.iter_scaled_polygon``, as
+``check`` does, or ``polyfile.iter_polygon``).  A fail-fast
 scan stops taking determinants one step past the first failure's index, but
 still reads the input to its end, to count n and to raise on a bad point
 past the failure.
@@ -168,15 +169,18 @@ def is_strictly_convex(vertices: Iterable[Point], *, explain: bool = False,
     return _decide(vertices, explain, collect_signs, chain=False)
 
 
-def is_strictly_convex_chain(vertices: Iterable[Point]) -> ConvexityReport:
+def is_strictly_convex_chain(vertices: Iterable[Point], *,
+                             collect_signs: bool = True) -> ConvexityReport:
     """Equality-chain variant of the decision; same verdict on every input.
 
     Runs the full scan and accepts iff the chain a_2 .. a_{n-2},
     b_2 .. b_{n-1}, c_2 .. c_{n-1} is constant and nonzero.  A broken chain
     is reported as a ConditionId that is genuinely violated (confirmable via
     condition_value): a's first break if there is one, else b's, else c's.
+    ``collect_signs=False`` skips the sign table, as in
+    ``is_strictly_convex``; the verdict and the condition stay the same.
     """
-    return _decide(vertices, True, True, chain=True)
+    return _decide(vertices, True, collect_signs, chain=True)
 
 
 def _decide(vertices, explain: bool, collect_signs: bool,

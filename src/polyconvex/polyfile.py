@@ -18,30 +18,47 @@ own parser, so what a token means and which error it raises never depend on
 the shortcut.
 
 ``iter_polygon`` streams a file as (x, y) pairs in one pass, holding one
-block of it at a time.  Each block is a 64 KB binary read followed by the
-rest of its last line, so it ends after a b"\n" or at the end of the file,
-holds whole lines and, since no UTF-8 multibyte sequence contains that byte,
-decodes on its own.  So a file with no b"\n", one huge line or lines
-ending in a bare "\r", is read as one block, held whole.  Nothing seeks,
+block of it at a time.  Each block is a 64 KB binary read, cut after its
+last "\n" or "\r" (a "\r\n" is never cut in two), behind what the read
+before left over, so it holds whole lines and, since no UTF-8 multibyte
+sequence contains either byte, decodes on its own.  Only a file with no
+line end, one huge line, is read as one block, held whole.  Nothing seeks,
 so a pipe reads like a file.  A block made only of lines of two plain
-integers (``-?[0-9]{1,MAX_DIGITS}``, separated by spaces or tabs, with an
-optional "\r"), as one regex match tells, is split and read by int() with
-no per-line code; any other block is decoded and read line by line by the
-same code as ``parse_polygon``, so values, messages and line numbers never
-depend on the blocks.  Errors come in file order: a bad line ahead of a
-non-UTF-8 byte is reported first.  ``parse_polygon`` and
-``read_polygon_file`` give the vertices as a tuple of Points.
+tokens (an integer, "p/q" or "a.b" in ASCII digits, with an optional "-" on
+the integer, p or a, separated by spaces or tabs), as one regex match tells,
+is read in C into ratio columns: whole-block replace, translate and split,
+int() on each part and one map over the tokens, with no per-line code.  A
+token the shortcut of ``parse_scalar`` would leave to Fraction (a zero
+denominator, more than MAX_DIGITS characters, digits past a lowered
+int-string limit) sends its block back to the per-line reader.  Any other
+block is decoded and read line by line by the same code as
+``parse_polygon``, so values, messages and line numbers never depend on the
+blocks.  Errors come in file order: a bad line ahead of a non-UTF-8 byte is
+reported first.  ``parse_polygon`` and ``read_polygon_file`` give the
+vertices as a tuple of Points.
+
+``iter_scaled_polygon`` reads the same blocks for the linear deciders and
+gives each vertex as (x * Dx, y * Dy), Dx and Dy > 0, as ints built by
+C-level column maps: the first block that holds a vertex fixes each D by
+the scan's own rule and guard (``geometry._Scale``), and a value whose
+denominator does not divide D comes as an exact Fraction.  Every
+orientation determinant is multiplied by Dx * Dy, so every sign and verdict
+is kept.  ``check --oracle`` reads exact values with ``iter_polygon``
+instead, so that a fault in the scaling cannot make the deciders and the
+oracles agree on the same wrong polygon.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .geometry import Point, require_exact
+from .geometry import Point, _Scale, require_exact
 
 
 class PolygonParseError(ValueError):
@@ -145,6 +162,10 @@ def parse_polygon(text: str) -> tuple:
 
 
 def format_scalar(value) -> str:
+    # An int skips isinstance(value, Fraction), which goes through the
+    # ABCMeta __instancecheck__ of Fraction's metaclass.
+    if type(value) is int:
+        return str(value)
     if isinstance(value, Fraction) and value.denominator != 1:
         return f"{value.numerator}/{value.denominator}"
     return str(int(value))
@@ -157,43 +178,146 @@ def format_polygon(vertices: Sequence[Point]) -> str:
                    for x, y in vertices)
 
 
-# Bytes read at a time by iter_polygon.
+# Bytes read at a time by the block loop.
 _BLOCK_SIZE = 1 << 16
 
 _BYTE_ORDER_MARK = "\ufeff".encode()
 
-# Lines of two plain integers, the last of which may lack its "\n".  The caps
-# hold under any int-string limit; *+ keeps no backtracking state per line.
-_INTEGER = rb"-?[0-9]{1,%d}" % MAX_DIGITS
-_PLAIN_BLOCK = re.compile(rb"(?:[ \t]*%s[ \t]+%s[ \t]*\r?(?:\n|\Z))*+"
-                          % (_INTEGER, _INTEGER))
+
+def _lines_of_two(token: bytes):
+    """A regex for lines of two tokens, separated by spaces or tabs, each
+    line ending in "\r", "\n", "\r\n" or the end of the block.  *+ keeps
+    no backtracking state per line."""
+    return re.compile(rb"(?:[ \t]*%s[ \t]+%s[ \t]*(?:\r\n?|\n|\Z))*+"
+                      % (token, token))
 
 
-def _block_pairs(path):
-    """An iterable of (x, y) pairs per block, in file order."""
+# Plain tokens: an integer, "p/q" or "a.b" in ASCII digits, with an optional
+# "-" on the integer, p or a.  The token length is checked as the shapes
+# are read (_Denominators).
+_PLAIN_BLOCK = _lines_of_two(rb"-?[0-9]++(?:[./][0-9]++)?+")
+# A block with no "/" or "." takes this match, about a third cheaper on
+# integer lines; its cap holds under any int-string limit.
+_INTEGER_BLOCK = _lines_of_two(rb"-?[0-9]{1,%d}" % MAX_DIGITS)
+
+# Maps every digit to "0": a token's shape.
+_ZERO_DIGITS = bytes.maketrans(b"0123456789", b"0" * 10)
+
+
+class _Ratios(NamedTuple):
+    """A plain block's values as ratio columns, x and y interleaved:
+    value k is nums[k] / dens[k], not reduced; dens is None when every
+    value is an int."""
+
+    nums: list
+    dens: Optional[list]
+
+
+class _Denominators(dict):
+    """Token shape -> the iterator its denominator is taken from: ``ints``
+    for "p/q", whose q follows p there, else a constant 10**k for a decimal
+    of k places, or 1 for an integer.  __missing__ runs once per distinct
+    shape; most blocks have only a few."""
+
+    __slots__ = ("ints",)
+
+    def __init__(self, ints):
+        super().__init__()
+        self.ints = ints
+
+    def __missing__(self, shape):
+        if len(shape) > MAX_DIGITS:
+            # parse_scalar's shortcut leaves a token this long to Fraction.
+            raise ValueError("token beyond the shortcut's length")
+        if b"/" in shape:
+            source = self.ints
+        else:
+            dot = shape.find(b".")
+            source = itertools.repeat(
+                1 if dot < 0 else 10 ** (len(shape) - dot - 1))
+        self[shape] = source
+        return source
+
+
+def _plain_ratios(block: bytes) -> Optional[_Ratios]:
+    """The values of a block of plain lines as ratio columns, read in C:
+    the same values parse_scalar gives.  None for any other block, and for
+    one holding a token the shortcut of parse_scalar leaves to Fraction: a
+    zero denominator, more than MAX_DIGITS characters, or digits past a
+    lowered int-string limit."""
+    rational = b"/" in block or b"." in block
+    if not (_PLAIN_BLOCK if rational else _INTEGER_BLOCK).fullmatch(block):
+        return None
+    try:
+        if not rational:
+            return _Ratios(list(map(int, block.split())), None)
+        # Each token's numerator ("a.b" read as ab), with a p/q token's q
+        # right after its p.
+        ints = map(int, block.replace(b".", b"").replace(b"/", b" ").split())
+        # zip asks for a token's source before map(next) reads its
+        # numerator, so a token is measured before int() reads it; the
+        # numerator then comes first, and q, if the source is ints, after.
+        sources = map(_Denominators(ints).__getitem__,
+                      block.translate(_ZERO_DIGITS).split())
+        flat = list(map(next, itertools.chain.from_iterable(
+            zip(itertools.repeat(ints), sources))))
+    except ValueError:
+        return None
+    dens = flat[1::2]
+    return None if 0 in dens else _Ratios(flat[0::2], dens)
+
+
+def _exact(numerator: int, denominator: int):
+    """numerator / denominator as parse_scalar gives it: an int if whole."""
+    if denominator == 1:
+        return numerator
+    value = Fraction(numerator, denominator)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _blocks(file):
+    """The bytes of ``file`` in blocks of whole lines: each block is a
+    _BLOCK_SIZE read cut after its last line end, behind what the read
+    before left over."""
+    held = []
+    while chunk := file.read(_BLOCK_SIZE):
+        # Not after a final "\r": it may be the first half of a "\r\n".
+        cut = max(chunk.rfind(b"\n"),
+                  chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
+        if cut:
+            held.append(chunk[:cut])
+            block = b"".join(held)
+            held = [chunk[cut:]]
+            # Only the block is held while the reader parses it.
+            del chunk
+            yield block
+        else:
+            held.append(chunk)
+    if tail := b"".join(held):
+        yield tail
+
+
+def _parsed_blocks(path):
+    """Per block, in file order: a plain block's _Ratios, or the (x, y)
+    pairs of any other block, read by the per-line parser."""
     line_number = 1
     end = 0  # bytes read so far
     with open(path, "rb") as file:
-        # The readline() completes the last line read, so a block ends after
-        # a b"\n" or at the end of the file.
-        while block := file.read(_BLOCK_SIZE) + file.readline():
+        for block in _blocks(file):
             start = end
             end += len(block)
             if start == 0 and block.startswith(_BYTE_ORDER_MARK):
                 # Only a mark at byte 0 is dropped; offsets still count it.
                 block = block[len(_BYTE_ORDER_MARK):]
                 start = len(_BYTE_ORDER_MARK)
-            if _PLAIN_BLOCK.fullmatch(block):
-                try:
-                    values = list(map(int, block.split()))
-                except ValueError:
-                    # A lowered int-string limit: parse_scalar decides.
-                    pass
-                else:
-                    line_number += len(values) // 2
-                    values = iter(values)
-                    yield zip(values, values)
-                    continue
+            ratios = _plain_ratios(block)
+            if ratios is not None:
+                line_number += len(ratios.nums) // 2
+                yield ratios
+                # Only the reader holds a block's values while the next
+                # block is read.
+                del ratios
+                continue
             try:
                 lines = block.decode("utf-8").splitlines()
             except UnicodeDecodeError as exc:
@@ -210,13 +334,95 @@ def _block_pairs(path):
             line_number += len(lines)
 
 
+def _exact_pairs(block) -> Iterator[tuple]:
+    """A block's vertices as exact (x, y) pairs."""
+    if not isinstance(block, _Ratios):
+        return block
+    nums, dens = block
+    values = iter(nums if dens is None else map(_exact, nums, dens))
+    return zip(values, values)
+
+
 def iter_polygon(path) -> Iterator[tuple]:
     """The vertices of a polygon file as (x, y) pairs, read in one pass.
 
     The file is opened at the first pair asked for; an error, a parse error
     or OSError, is raised when the iteration reaches it.
     """
-    return itertools.chain.from_iterable(_block_pairs(path))
+    return itertools.chain.from_iterable(map(_exact_pairs,
+                                             _parsed_blocks(path)))
+
+
+def _settle(scale: _Scale, nums: list, dens: list) -> None:
+    """Let ``scale`` grow over the values nums[k] / dens[k], in order, as
+    the scan's own would, calling it only on those whose denominator does
+    not divide its d: each is found by a search in C, which resumes where
+    the last one stopped."""
+    numerators, denominators = iter(nums), iter(dens)
+    start = 0
+    while scale.bound is not None:
+        # n * d % q is 0 iff the reduced denominator of n/q divides d.
+        misses = map(operator.mod, map(operator.mul, numerators,
+                                       itertools.repeat(scale.d)),
+                     denominators)
+        k = next(itertools.compress(itertools.count(start), misses), None)
+        if k is None:
+            return
+        scale.scale(Fraction(nums[k], dens[k]))
+        start = k + 1
+
+
+def _scaled_column(d: int, nums: list, dens: Optional[list]) -> list:
+    """Each value nums[k] / dens[k] times d, dens None meaning all 1: an int
+    where its denominator divides d, else an exact Fraction."""
+    products = nums if d == 1 else list(map(operator.mul, nums,
+                                            itertools.repeat(d)))
+    if dens is None:
+        return products
+    if any(map(operator.mod, products, dens)):
+        return list(map(_exact, products, dens))
+    return list(map(operator.floordiv, products, dens))
+
+
+def _scaled_pairs(scales: list, block) -> Iterator[tuple]:
+    """A block's vertices as (x * Dx, y * Dy) pairs.  ``scales`` holds the
+    two _Scales, fixed by the first block that holds a vertex."""
+    if not isinstance(block, _Ratios):
+        values = list(itertools.chain.from_iterable(block))
+        block = _Ratios(list(map(operator.attrgetter("numerator"), values)),
+                        list(map(operator.attrgetter("denominator"), values)))
+    nums, dens = block
+    if not nums:
+        return iter(())
+    if not scales:
+        scales += _Scale(), _Scale()
+        if dens is not None:
+            _settle(scales[0], nums[0::2], dens[0::2])
+            _settle(scales[1], nums[1::2], dens[1::2])
+    dx, dy = scales[0].d, scales[1].d
+    if dens is None and dx == dy == 1:
+        values = iter(nums)
+        return zip(values, values)
+    return zip(_scaled_column(dx, nums[0::2], dens and dens[0::2]),
+               _scaled_column(dy, nums[1::2], dens and dens[1::2]))
+
+
+def iter_scaled_polygon(path) -> Iterator[tuple]:
+    """The vertices of a polygon file as (x * Dx, y * Dy) pairs, read in one
+    pass, for the linear deciders.
+
+    Dx and Dy are the common denominators that the rule and guard of
+    ``geometry._Scale``, the scan's own, fix over the x and the y values of
+    the first block that holds a vertex; an axis the guard refuses keeps
+    D = 1.  A value whose denominator divides D comes as an int, any other
+    as an exact Fraction, which the scan scales as it reads it.  Scaling
+    each axis by a positive constant keeps the sign of every orientation
+    determinant, so the deciders give on this stream the report they give
+    on ``iter_polygon``'s exact values.  Parse errors are those of
+    ``iter_polygon``.
+    """
+    return itertools.chain.from_iterable(
+        map(functools.partial(_scaled_pairs, []), _parsed_blocks(path)))
 
 
 def read_polygon_file(path) -> tuple:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,14 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from polyconvex import cli
+from polyconvex import cli, polyfile
 from polyconvex.cli import main
-from polyconvex.fast_test import ConditionId
+from polyconvex.fast_test import (ConditionId, is_strictly_convex,
+                                  is_strictly_convex_chain)
 from polyconvex.generator import (make_minimality_witness,
                                   make_strictly_convex, parabola_polygon)
 from polyconvex.geometry import Point
 from polyconvex.polyfile import (MAX_DIGITS, format_polygon, format_scalar,
-                                 write_polygon_file)
+                                 read_polygon_file, write_polygon_file)
 
 SQUARE_TEXT = "0 0\n1 0\n1 1\n0 1\n"
 SWAPPED_TEXT = "0 0\n1 1\n1 0\n0 1\n"
@@ -384,6 +387,26 @@ def test_check_streams_a_large_file_in_small_memory(tmp_path):
     assert int(peak_kb) <= 32 * 1024, peak_kb
 
 
+def test_check_chain_keeps_no_sign_table(tmp_path):
+    # The table of a 10^5-gon is three lists of 10^5 pointers, about 2.7 MB
+    # on CPython 3.11: --chain peaked 3.3 MB above plain check with it and
+    # 0.1 MB without.  Each check runs in a process of its own.
+    path = tmp_path / "parabola.txt"
+    path.write_text(format_polygon(parabola_polygon(10**5)))
+    src = str(Path(cli.__file__).parent.parent)
+    peaks = []
+    for flags in ((), ("--chain",)):
+        done = subprocess.run(
+            [sys.executable, "-c", MEASURE_CHILD_RSS, sys.executable, "-m",
+             "polyconvex", "check", str(path), *flags],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, check=True)
+        code, verdict, peak_kb = done.stdout.split()
+        assert (code, verdict) == ("0", "strictly-convex")
+        peaks.append(int(peak_kb))
+    assert peaks[1] <= peaks[0] + 1024, peaks
+
+
 def test_main_restores_a_lowered_int_string_limit(square_file, capsys):
     before = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
@@ -398,7 +421,8 @@ def test_unexpected_error_exits_4_with_traceback(square_file, monkeypatch,
                                                 capsys):
     def broken(path):
         raise RuntimeError("broken reader")
-    monkeypatch.setattr(cli, "iter_polygon", broken)
+    # The reader plain check calls.
+    monkeypatch.setattr(cli, "iter_scaled_polygon", broken)
     assert main(["check", square_file]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -540,3 +564,89 @@ def test_explain_rows_written_in_slices_keep_their_digests(name, tmp_path,
     code = main(["check", str(path), "--explain"])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == LARGE_CHECK_DIGESTS[name, "--explain"]
+
+
+def on_parabola(xs, written, eol="\n", lift=None):
+    """The file of the points (x, x^2) for increasing xs, a strictly convex
+    polygon, each value written by ``written(value, k)``; the vertex at
+    index ``lift`` is raised by one, so that the polygon is not convex."""
+    lines = []
+    for k, x in enumerate(xs):
+        y = x * x + (1 if k == lift else 0)
+        lines.append(f"{written(x, k)} {written(y, k)}{eol}")
+    return "".join(lines)
+
+
+def as_fraction(value, k):
+    return format_scalar(value)
+
+
+def exotic(value, k):
+    """Tokens the plain-block reader leaves to the per-line parser: a "+",
+    an exponent, underscores.  ``value``'s denominator divides 10**6."""
+    if k % 3 == 0:
+        return ("+" if value >= 0 else "") + format_scalar(value)
+    if k % 3 == 1:
+        return f"{int(value * 10**6)}e-6"
+    numerator, denominator = value.as_integer_ratio()
+    return f"{numerator:_}/{denominator}"
+
+
+PRIMES = [p for p in range(1000, 1600) if all(p % q for q in range(2, 40))]
+
+# Files of several blocks at a block size of 128 bytes.
+RATIONAL_FILES = {
+    # Thirds fix D in the first block; sevenths and elevenths come later.
+    "new-denominators": on_parabola(
+        [Fraction(k, 3) for k in range(1, 40)]
+        + [14 + Fraction(k, 7) for k in range(40)]
+        + [20 + Fraction(k, 11) for k in range(40)], as_fraction),
+    "new-denominators-lifted": on_parabola(
+        [Fraction(k, 3) for k in range(1, 40)]
+        + [14 + Fraction(k, 7) for k in range(40)], as_fraction, lift=60),
+    # Pairwise-coprime denominators: the guard refuses within the first
+    # block, and the x axis is read unscaled.
+    "refused": on_parabola([k + Fraction(1, p) for k, p in enumerate(PRIMES)],
+                           as_fraction),
+    "exotic-bom-crlf": "\ufeff" + on_parabola(
+        [Fraction(k, 8) - 3 for k in range(60)], exotic, eol="\r\n"),
+    "mixed-lifted": on_parabola(
+        [Fraction(k, 8) - 3 for k in range(60)],
+        lambda v, k: exotic(v, k) if k % 5 == 0 else as_fraction(v, k),
+        lift=2),
+}
+
+
+def decided(path, flags):
+    """Exit code and stdout that check should give: the deciders' report on
+    the exact values of read_polygon_file(path), printed as the CLI does."""
+    polygon = read_polygon_file(path)
+    explain, as_json = "--explain" in flags, "--json" in flags
+    if "--chain" in flags:
+        report = is_strictly_convex_chain(polygon,
+                                          collect_signs=explain or as_json)
+    else:
+        report = is_strictly_convex(polygon, explain=explain,
+                                    collect_signs=explain or as_json)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if as_json:
+            print(json.dumps(report.to_json_dict()))
+        else:
+            cli._print_text_report(report, explain, None)
+    return (0 if report.verdict else 1), out.getvalue()
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",), ("--explain",),
+                                   ("--chain",), ("--chain", "--json")])
+@pytest.mark.parametrize("name", RATIONAL_FILES)
+def test_check_of_a_rational_file_prints_what_the_exact_values_give(
+        name, flags, tmp_path, monkeypatch, capsys):
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(RATIONAL_FILES[name].encode())
+    monkeypatch.setattr(polyfile, "_BLOCK_SIZE", 128)
+    assert len(RATIONAL_FILES[name]) > 4 * 128
+    expected = decided(path, flags)
+    code = main(["check", str(path), *flags])
+    assert (code, capsys.readouterr().out) == expected
+    assert expected[0] == (1 if name.endswith("lifted") else 0)

@@ -13,14 +13,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polyconvex
-from polyconvex import polyfile
+from polyconvex import geometry, polyfile
 from polyconvex.generator import make_minimality_witness, make_strictly_convex
 from polyconvex.fast_test import ConditionId
 from polyconvex.geometry import Point
 from polyconvex.polyfile import (MAX_DIGITS, PolygonParseError, _quoted,
                                  format_polygon, format_scalar, iter_polygon,
-                                 parse_polygon, parse_scalar,
-                                 read_polygon_file, write_polygon_file)
+                                 iter_scaled_polygon, parse_polygon,
+                                 parse_scalar, read_polygon_file,
+                                 write_polygon_file)
 
 P = Point
 
@@ -253,10 +254,10 @@ def test_parse_polygon_matches_the_per_line_fraction_only_reference(text):
         polygon_outcome(polygon_reference, text)
 
 
-def read_in_blocks(path, size):
-    """Every pair of iter_polygon(path), read in blocks of ``size`` bytes."""
+def read_in_blocks(path, size, read=iter_polygon):
+    """Every pair of read(path), read in blocks of ``size`` bytes."""
     with mock.patch.object(polyfile, "_BLOCK_SIZE", size):
-        return tuple(iter_polygon(path))
+        return tuple(read(path))
 
 
 @pytest.fixture(scope="module")
@@ -512,3 +513,206 @@ def test_byte_order_mark_is_dropped(tmp_path):
         read_polygon_file(path)
     assert str(err.value) == ("line 2: not UTF-8 text: invalid start byte "
                               "at byte 7")
+
+
+def test_format_scalar_writes_ints_and_their_subclasses_alike():
+    # Exact ints skip the Fraction test; bool, an int subclass, does not.
+    for value in (0, -7, 10 ** 50, True, False, Fraction(6, 3)):
+        assert format_scalar(value) == str(int(value))
+    assert format_scalar(Fraction(-7, 3)) == "-7/3"
+
+
+@pytest.mark.parametrize("eol", [b"\r", b"\r\n", b"\n"],
+                         ids=["CR", "CRLF", "LF"])
+def test_a_block_ends_at_any_line_end(tmp_path, eol):
+    # About 100 KB of lines: more than one block at the default size.
+    lines = [b"%d %d" % (t, t * t) for t in range(10 ** 4)]
+    path = tmp_path / "polygon.txt"
+    path.write_bytes(eol.join(lines) + eol)
+    with open(path, "rb") as file:
+        blocks = list(polyfile._blocks(file))
+    assert len(blocks) > 1
+    # A read, one byte after a final "\r", and the line the read before
+    # left unfinished: no line here is longer than 16 bytes.
+    assert all(len(block) <= polyfile._BLOCK_SIZE + 1 + 16 for block in blocks)
+    assert all(block.endswith(eol) for block in blocks)
+    assert read_polygon_file(path) == tuple(
+        P(t, t * t) for t in range(10 ** 4))
+
+
+@pytest.mark.parametrize("size", range(1, 16))
+def test_a_crlf_cut_by_a_read_keeps_the_line_numbers(tmp_path, size):
+    # Every size puts some read's end between a "\r" and its "\n"; the bad
+    # token is then on the same line as parse_polygon numbers it.
+    # "\r\r\n" is a line ended by "\r", then an empty line.
+    text = "0 0\r\n1 0\r\r\n\r\n1/3 1\r\n0 1.5\r\n2 x\r\n"
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(text.encode())
+    expected = polygon_outcome(parse_polygon, text)
+    assert expected == ("error", "line 7: bad coordinate 'x'", 7)
+    for read in (iter_polygon, iter_scaled_polygon):
+        assert polygon_outcome(lambda _: read_in_blocks(path, size, read),
+                               text) == expected
+
+
+def scale_factors(exact, scaled):
+    """The (Dx, Dy) by which each scaled pair is its exact pair, checking
+    that they are positive integers and that a scaled value is an int iff
+    it is whole."""
+    assert len(scaled) == len(exact)
+    factors = []
+    for axis in (0, 1):
+        pairs = [(e[axis], s[axis]) for e, s in zip(exact, scaled)]
+        for _, value in pairs:
+            assert type(value) is (int if Fraction(value).denominator == 1
+                                   else Fraction), value
+        assert all(value == 0 for e, value in pairs if e == 0)
+        ratios = {Fraction(value) / e for e, value in pairs if e != 0}
+        assert len(ratios) <= 1, ratios
+        factor = ratios.pop() if ratios else Fraction(1)
+        assert factor > 0 and factor.denominator == 1, factor
+        factors.append(factor.numerator)
+    return tuple(factors)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 64])
+@given(text=texts)
+@example(text="\ufeff1/3 2\r\n0.5 -1/7\r\n")
+@example(text="1/3 1e2\n+2 1_0\n.5 1/6\n")
+@settings(max_examples=60)
+def test_scaled_reader_is_the_reference_times_positive_factors(
+        scratch_path, size, text):
+    # Errors, messages and line numbers are iter_polygon's.
+    expected = polygon_outcome(polygon_reference, text.removeprefix("\ufeff"))
+    scratch_path.write_bytes(text.encode("utf-8"))
+    scaled = polygon_outcome(
+        lambda _: read_in_blocks(scratch_path, size, iter_scaled_polygon),
+        text)
+    if expected[:1] == ("error",):
+        assert scaled == expected
+    else:
+        scale_factors(polygon_reference(text.removeprefix("\ufeff")),
+                      read_in_blocks(scratch_path, size,
+                                     iter_scaled_polygon))
+
+
+plain_tokens = st.one_of(
+    st.integers(-999, 999).map(str),
+    st.builds("{}/{}".format, st.integers(-999, 999), st.integers(1, 99)),
+    st.builds(lambda value, places: f"{value:.{places}f}",
+              st.decimals(-99, 99, places=3, allow_nan=False),
+              st.integers(1, 3)),
+)
+plain_texts = st.lists(st.tuples(plain_tokens, plain_tokens),
+                       min_size=1, max_size=40).map(
+    lambda pairs: "".join(f"{x} {y}\n" for x, y in pairs))
+
+
+@pytest.mark.parametrize("size", [8, 32, 128, 1 << 16])
+@given(text=plain_texts)
+@settings(max_examples=60)
+def test_scaled_reader_on_plain_blocks_with_new_denominators(scratch_path,
+                                                            size, text):
+    # Small blocks bring in denominators the first block did not fix.
+    scratch_path.write_bytes(text.encode())
+    exact = parse_polygon(text)
+    scaled = read_in_blocks(scratch_path, size, iter_scaled_polygon)
+    scale_factors(exact, scaled)
+    assert polygon_outcome(lambda _: read_in_blocks(scratch_path, size),
+                           text) == polygon_outcome(parse_polygon, text)
+
+
+def first_block_factor(values):
+    """The d a fresh _Scale reaches over ``values``, in order: the rule the
+    scaled reader must follow over its first block."""
+    scale = geometry._Scale()
+    for value in values:
+        scale.scale(value)
+    return scale.d
+
+
+@pytest.mark.parametrize("xs, ys", [
+    # Thirds and eighths, then a value whose denominator is already in d.
+    (["1/3", "0.125", "5/24", "7"], ["-4/5", "0.2", "3", "-1.5"]),
+    # Pairwise-coprime denominators with one-digit numerators: the guard
+    # refuses at the third, and the axis keeps D = 1.
+    (["1/1009", "1/1013", "1/1019", "1/1021"], ["0", "1", "2", "3"]),
+], ids=["grows", "refuses"])
+def test_the_first_block_fixes_each_factor_by_the_scan_rule(tmp_path, xs, ys):
+    text = "".join(f"{x} {y}\n" for x, y in zip(xs, ys))
+    path = tmp_path / "polygon.txt"
+    path.write_text(text)
+    exact = parse_polygon(text)
+    factors = scale_factors(exact, tuple(iter_scaled_polygon(path)))
+    assert factors == (first_block_factor(p.x for p in exact),
+                       first_block_factor(p.y for p in exact))
+    if xs[0] == "1/1009":
+        assert factors[0] == 1
+
+
+def test_a_denominator_after_the_first_block_comes_as_an_exact_fraction(
+        tmp_path):
+    # Thirds fill the first block; the sevenths after it do not divide 3.
+    head = "".join(f"{t}/3 {t}\n" for t in range(1, 8000))
+    path = tmp_path / "polygon.txt"
+    path.write_text(head + "1/7 5\n2/21 6\n")
+    assert len(head) > polyfile._BLOCK_SIZE
+    scaled = tuple(iter_scaled_polygon(path))
+    assert scaled[0] == (1, 1) and scaled[-2:] == ((Fraction(3, 7), 5),
+                                                     (Fraction(2, 7), 6))
+    assert scale_factors(read_polygon_file(path), scaled) == (3, 1)
+
+
+@pytest.mark.parametrize("text", [
+    "0 0\n1/0 2\n",
+    "0 0\n1/3 00/000\n",
+    "0 0\n0.5 " + "7" * 4301 + "\n",
+    "0 0\n0.5 1." + "5" * 4300 + "\n",
+    "0 0\n0.5 1/" + "3" * 4300 + "\n",
+    "0 0\n0.5 1/2/3\n",
+    "0 0\n0.5 1.2.3\n",
+], ids=["zero-denominator", "zero-denominator-leading-zeros",
+        "past-the-digit-cap", "long-decimal", "long-p/q", "two-slashes",
+        "two-dots"])
+@pytest.mark.parametrize("size", [3, 1 << 16])
+@pytest.mark.parametrize("limit", [None, 0], ids=["default-limit", "no-limit"])
+def test_a_token_the_shortcut_refuses_is_read_by_the_per_line_reader(
+        tmp_path, text, size, limit):
+    # With no int-string limit, int() reads any run of digits: the block
+    # reader must not rely on it to refuse one.
+    path = tmp_path / "polygon.txt"
+    path.write_text(text)
+    before = sys.get_int_max_str_digits()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        expected = polygon_outcome(parse_polygon, text)
+        assert polygon_outcome(lambda _: read_in_blocks(path, size),
+                               text) == expected
+        if expected[:1] == ("error",):
+            assert polygon_outcome(
+                lambda _: read_in_blocks(path, size, iter_scaled_polygon),
+                text) == expected
+        else:
+            scale_factors(parse_polygon(text),
+                          read_in_blocks(path, size, iter_scaled_polygon))
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_plain_rational_blocks_under_a_lowered_int_string_limit(tmp_path):
+    # 641 digits in a decimal's numerator: int() refuses them under a limit
+    # of 640, so parse_scalar, reading line by line, decides.
+    text = f"0 0\n1/3 0.{'7' * 641}\n2 4\n"
+    path = tmp_path / "polygon.txt"
+    path.write_text(text)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        expected = polygon_outcome(parse_polygon, text)
+        for read in (read_polygon_file, iter_scaled_polygon):
+            assert polygon_outcome(lambda _: tuple(read(path)), text) == \
+                expected
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert expected[0] == "error" and expected[2] == 2
