@@ -28,26 +28,15 @@ reads.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from typing import Sequence
 
 from .fast_test import InvalidConditionId, is_strictly_convex
-from .geometry import Point, _scale_all, _Scale, delta
+from .geometry import (MODULUS, Point, _scale_all, _Scale,
+                       add_delta_evaluations, delta, residues)
 
 DEFAULT_SEED_TRIANGLE = (Point(0, 0), Point(1, 0), Point(0, 1))
-
-
-def _arc_point(omega: int, eps: Fraction, x, y) -> tuple:
-    """Frame coordinates of the point at eps on arc omega."""
-    if omega == 0:
-        return -eps * x, eps + eps * eps
-    if omega == 1:
-        return (1 + eps) * x, (1 + eps) * abs(y) + eps * eps
-    if omega == 2:
-        return eps * x, eps + eps * eps
-    return -eps * x, -eps - eps * eps
 
 
 def _keeps_quasi_strict(polygon: Sequence[Point], vertex: Point) -> bool:
@@ -56,21 +45,27 @@ def _keeps_quasi_strict(polygon: Sequence[Point], vertex: Point) -> bool:
     Only the checks involving the new vertex are needed: the old open edges
     against it, and the two new edges against every old vertex: 3(k-1)
     determinants, O(k).  The build loop passes its integer copy and the
-    candidate scaled to match, whose determinants have the same signs and
-    cost int, not Fraction, products.
+    candidate scaled to match, whose determinants have the same signs.  A
+    determinant is taken exactly only where its residue is 0
+    (``geometry.residues``), and each test visited counts as one
+    determinant evaluated.
     """
     k = len(polygon)
-    last = polygon[k - 1]
-    first = polygon[0]
-    for i in range(k - 1):
-        if delta(polygon[i], polygon[i + 1], vertex) == 0:
+    exact = [*polygon, vertex]
+    points = residues(exact)
+    triples = [*((i, i + 1, k) for i in range(k - 1)),
+               *((k - 1, k, j) for j in range(k - 1)),
+               *((k, 0, j) for j in range(1, k))]
+    tests = 0
+    for a, b, c in triples:
+        (ax, ay), (bx, by), (cx, cy) = points[a], points[b], points[c]
+        if ((bx - ax) * (cy - ay) - (cx - ax) * (by - ay)) % MODULUS:
+            tests += 1
+        # delta() counts the exact test itself.
+        elif delta(exact[a], exact[b], exact[c]) == 0:
+            add_delta_evaluations(tests)
             return False
-    for j in range(k - 1):
-        if delta(last, vertex, polygon[j]) == 0:
-            return False
-    for j in range(1, k):
-        if delta(vertex, first, polygon[j]) == 0:
-            return False
+    add_delta_evaluations(tests)
     return True
 
 
@@ -83,13 +78,16 @@ def _arc_steps(polygon: tuple, omegas) -> tuple:
     The input is scaled once; each candidate vertex then goes through both
     scales, and when one grows by g the copy is multiplied by g, as _scan
     does with its window.  The frame map sends (0,0), (1,0), (0,1) to V0, V1,
-    V[k-1]; the frame coordinates (x, y) of V[k-2] follow from Cramer's rule
-    on the copy, since they are ratios of two determinants.  Quasi-strictness
-    makes delta(V0, V1, V[k-1]) nonzero, and _keeps_quasi_strict carries the
-    invariant over to the extended polygon.  The vertex map and the arc
-    points stay in exact fractions.  The input is not checked: scaling it
-    raises TypeError on an inexact coordinate, and the factories pass
-    DEFAULT_SEED_TRIANGLE.
+    V[k-1]; by Cramer's rule on the copy, V[k-2] has the frame coordinates
+    (nx/det, ny/det), ratios of determinants that no scale changes.
+    Quasi-strictness makes det = delta(V0, V1, V[k-1]) nonzero, and
+    _keeps_quasi_strict carries the invariant over to the extended polygon.
+    At eps = 1/T, arc omega's point times T^2*det is a pair of ints, and so
+    is its image under the map of the copy's corners, read anew at every
+    attempt since a rejected one may grow a scale.  Dividing by T^2*det and
+    by the axis's d gives each coordinate as one Fraction.  The input is not
+    checked: scaling it raises TypeError on an inexact coordinate, and the
+    factories pass DEFAULT_SEED_TRIANGLE.
     """
     sx, sy = _Scale(), _Scale()
     scaled = _scale_all(polygon, sx, sy)
@@ -97,18 +95,30 @@ def _arc_steps(polygon: tuple, omegas) -> tuple:
         k = len(polygon)
         (v0, v1), (before_last, last) = scaled[:2], scaled[-2:]
         det = delta(v0, v1, last)
-        x = Fraction(delta(v0, before_last, last), det)
-        y = Fraction(delta(v0, v1, before_last), det)
-        (x0, y0), (x1, y1), (xl, yl) = polygon[0], polygon[1], polygon[-1]
+        nx = delta(v0, before_last, last)
+        ny = delta(v0, v1, before_last)
+        if det < 0:
+            # The same ratios, over det > 0.
+            det, nx, ny = -det, -nx, -ny
         # eps = 1/(t*2^j), t > 10*(1+|y|) (arc 1 takes any eps): its bits grow
         # by one per attempt instead of compounding, as bound/(j+2) would at
         # every step, which becomes unusable beyond a handful of vertices.
-        t = 2 if omega == 1 else math.floor(10 * (1 + abs(y))) + 1
+        t = 2 if omega == 1 else 10 * (det + abs(ny)) // det + 1
         budget = k * (k - 1) + 1
         for j in range(budget):
-            fx, fy = _arc_point(omega, Fraction(1, t << j), x, y)
-            vertex = Point((x1 - x0) * fx + (xl - x0) * fy + x0,
-                           (y1 - y0) * fx + (yl - y0) * fy + y0)
+            T = t << j
+            if omega == 1:
+                fx, fy = (T + 1) * T * nx, (T + 1) * T * abs(ny) + det
+            else:
+                fx = nx * T if omega == 2 else -nx * T
+                fy = -(T + 1) * det if omega == 3 else (T + 1) * det
+            denominator = T * T * det
+            (x0, y0), (x1, y1), (xl, yl) = scaled[0], scaled[1], scaled[-1]
+            vertex = Point(
+                Fraction((x1 - x0) * fx + (xl - x0) * fy + x0 * denominator,
+                         denominator * sx.d),
+                Fraction((y1 - y0) * fx + (yl - y0) * fy + y0 * denominator,
+                         denominator * sy.d))
             (qx, gx), (qy, gy) = sx.scale(vertex.x), sy.scale(vertex.y)
             if gx != 1 or gy != 1:
                 scaled = [(px * gx, py * gy) for px, py in scaled]

@@ -11,7 +11,9 @@ rounding error near a collinear configuration could flip it.
 package, and the generator, turns a rational axis into ints:
 ``integer_scaled`` applies it to a whole point list at once for the oracles;
 ``fast_test`` applies it as it streams, and the generator as it grows a
-polygon one vertex at a time.
+polygon one vertex at a time.  ``residues`` serves the sweeps that ask only
+whether a determinant is 0: the hull oracle's triple check and the
+generator's test of each candidate vertex.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -161,6 +163,28 @@ def _scale_all(points, sx: _Scale, sy: _Scale) -> list:
         sx.scale(x)
         sy.scale(y)
     return [(sx.scale(x)[0], sy.scale(y)[0]) for x, y in points]
+
+
+# A Mersenne prime, 2^61 - 1: an int's residue modulo it has at most 61 bits.
+MODULUS = (1 << 61) - 1
+
+
+def residues(points: Sequence) -> Sequence:
+    """The points for zero tests of their determinants modulo MODULUS.
+
+    A nonzero residue proves a determinant nonzero, so a sweep that asks
+    only which determinants are 0 need take the exact one only where the
+    residue is 0 (Brönnimann, Emiris, Pan and Pion, "Sign determination in
+    residue number systems", Theoret. Comput. Sci. 210, 1999).  When every
+    coordinate is an int, each comes back reduced, and a determinant of the
+    reduced points is congruent to the exact one whatever their length.
+    Otherwise the points come back as they are, since a reduced int beside
+    a Fraction would not keep that congruence; the determinant is then the
+    exact one, and an exact 0 is 0 modulo MODULUS too.
+    """
+    if set(map(type, itertools.chain.from_iterable(points))) <= {int}:
+        return [(x % MODULUS, y % MODULUS) for x, y in points]
+    return points
 
 
 def sign_of(value: Scalar) -> int:

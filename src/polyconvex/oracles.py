@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .geometry import Point, delta, integer_scaled, require_exact, sign_of
+from .geometry import (MODULUS, Point, add_delta_evaluations, delta,
+                       integer_scaled, require_exact, residues, sign_of)
 
 
 class TooFewVertices(ValueError):
@@ -40,17 +41,34 @@ class TooFewVertices(ValueError):
 def is_strict(vertices: Sequence[Point]) -> bool:
     """True iff no three vertices at distinct indices are collinear.
 
-    Exhaustive over all index triples; vacuously true for n <= 2.
+    Exhaustive over all index triples; vacuously true for n <= 2.  A
+    triple's determinant is taken exactly only where its residue is 0
+    (``geometry.residues``), and each triple visited counts as one
+    determinant evaluated.  With every later vertex taken relative to
+    vertex i, the determinant of (i, j, k) is the cross product of j's and
+    k's, two products per triple.
     """
     require_exact(vertices)
     n = len(vertices)
+    points = residues(vertices)
+    tests = 0
     for i in range(n - 2):
-        vi = vertices[i]
+        xi, yi = points[i]
+        rest = [(x - xi, y - yi) for x, y in points[i + 1:]]
         for j in range(i + 1, n - 1):
-            vj = vertices[j]
-            for k in range(j + 1, n):
-                if delta(vi, vj, vertices[k]) == 0:
-                    return False
+            dx, dy = rest[j - i - 1]
+            row = [(dx * y - dy * x) % MODULUS for x, y in rest[j - i:]]
+            tests += len(row)
+            if 0 not in row:
+                continue
+            for k, residue in enumerate(row, j + 1):
+                if residue == 0:
+                    # delta() counts the exact test itself.
+                    tests -= 1
+                    if delta(vertices[i], vertices[j], vertices[k]) == 0:
+                        add_delta_evaluations(tests - (n - 1 - k))
+                        return False
+    add_delta_evaluations(tests)
     return True
 
 

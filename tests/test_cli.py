@@ -327,6 +327,24 @@ def test_generate_exits_0_when_stdout_is_closed_before_it_writes(tmp_path):
     assert out.read_text().count("\n") == 5
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts the entries of /proc/self/fd")
+def test_a_broken_pipe_leaves_no_descriptor_open(square_file, monkeypatch):
+    # In one process, as a caller of main() would run it many times.
+    def run_into_a_closed_pipe():
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stdout)
+            assert main(["check", str(square_file)]) == 0
+
+    run_into_a_closed_pipe()
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        run_into_a_closed_pipe()
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def run_cli_under_int_string_limit(limit, *args):
     src = str(Path(cli.__file__).parent.parent)
     env = dict(os.environ, PYTHONINTMAXSTRDIGITS=limit, PYTHONPATH=src)

@@ -62,7 +62,21 @@ def test_extension_plants_its_arc_pattern_on_any_quasi_strict_input(
 # V2 is moved to the midpoint of the first attempt's point and V3, V5 or
 # V0, which puts the point on the old edge from V2 to V3, or V2 on one of
 # the two new edges: from V5 = V[k-1] to the point, or from it to V0.  Each
-# is seen by its own loop of _keeps_quasi_strict.
+# is seen by its own loop of _keeps_quasi_strict.  The vertex appended
+# instead depends only on V0, V1, V4 and V5, and on the scales the rejected
+# point grew; each is pinned as the arc construction first gave it.
+RETRIED_VERTEX = {
+    0: P(Fraction(-841246724853277612553, 20577179815233267969211392),
+         Fraction(2767741312, 75725907432836971827)),
+    1: P(Fraction(-13678926652187, 1199125827744768),
+         Fraction(691250896, 613392117987)),
+    2: P(Fraction(119959588325661941863, 2939597116461895424173056),
+         Fraction(2767741312, 75725907432836971827)),
+    3: P(Fraction(-119959588325661941863, 2939597116461895424173056),
+         Fraction(-2767741312, 75725907432836971827)),
+}
+
+
 @pytest.mark.parametrize("omega, end", [
     *(pytest.param(omega, 3, id=str(omega)) for omega in range(4)),
     *(pytest.param(omega, end, id=f"{edge}-{omega}")
@@ -83,7 +97,39 @@ def test_arc_step_retries_a_smaller_eps_when_the_first_point_is_collinear(
     assert is_quasi_strict(moved)
     assert not generator._keeps_quasi_strict(moved, first)
     bigger = generator._arc_steps(moved, [omega])[0]
-    assert bigger[:6] == moved and bigger[-1] != first
+    assert bigger[:6] == moved and bigger[-1] == RETRIED_VERTEX[omega]
+    assert is_quasi_strict(bigger)
+    held = conditions_at_new_index(bigger)
+    assert held == {family: family != omega for family in (1, 2, 3)}
+
+
+# On this int seed, arc 1's first point (7/4, -1/4) lies on the line of
+# V1 and V3, so the new edge from V3 would pass through V1, and it grows
+# both scales from 1 to 4.  The next attempt must map the arc through the
+# copy's corners as they are after that growth.  The other arcs take their
+# first point.  Each vertex is pinned as the arc construction first gave it.
+SEED_OF_A_GROWING_RETRY = (P(0, 0), P(0, -2), P(1, 0), P(1, -1))
+
+
+@pytest.mark.parametrize("omega, first, appended", [
+    (0, None, P(Fraction(22, 441), Fraction(-43, 441))),
+    (1, P(Fraction(7, 4), Fraction(-1, 4)), P(Fraction(21, 16),
+                                              Fraction(-1, 16))),
+    (2, None, P(Fraction(22, 441), Fraction(-1, 441))),
+    (3, None, P(Fraction(-22, 441), Fraction(1, 441))),
+])
+def test_a_retry_maps_the_arc_through_the_grown_copy(omega, first, appended,
+                                                      monkeypatch):
+    seed = SEED_OF_A_GROWING_RETRY
+    assert is_quasi_strict(seed)
+    if first is not None:
+        with monkeypatch.context() as patch:
+            patch.setattr(generator, "_keeps_quasi_strict", lambda *_: True)
+            assert generator._arc_steps(seed, [omega])[0][-1] == first
+        assert not generator._keeps_quasi_strict(seed, first)
+    bigger, scaled = generator._arc_steps(seed, [omega])
+    assert bigger[:4] == seed and bigger[-1] == appended
+    assert_positive_multiple(bigger, scaled)
     assert is_quasi_strict(bigger)
     held = conditions_at_new_index(bigger)
     assert held == {family: family != omega for family in (1, 2, 3)}

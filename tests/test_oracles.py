@@ -2,16 +2,17 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polyconvex.oracles as oracles_module
 from polyconvex import generator
 from polyconvex.fast_test import ConditionId
 from polyconvex.generator import make_strictly_convex
-from polyconvex.geometry import Point, delta
+from polyconvex.geometry import MODULUS, Point, delta, delta_evaluations
 from polyconvex.oracles import (TooFewVertices, convex_hull, hull_oracle,
-                                matches_hull_order, strictly_convex_oracle)
+                                is_strict, matches_hull_order,
+                                strictly_convex_oracle)
 
 P = Point
 SQUARE = (P(0, 0), P(1, 0), P(1, 1), P(0, 1))
@@ -183,3 +184,66 @@ def test_generator_and_oracles_take_their_determinants_on_ints(monkeypatch):
     assert not strictly_convex_oracle(witness)
     assert not hull_oracle(witness)
     assert results and set(results) == {int}
+
+
+long_ints = st.integers(-(1 << 4000), 1 << 4000)
+
+
+@st.composite
+def points_with_a_modulus_multiple(draw):
+    """Three points whose determinant is m * MODULUS, collinear for m = 0
+    and otherwise 0 only modulo that prime, in a shuffled list with a few
+    more points.  Every coordinate but the m * MODULUS term is a long int,
+    an int in -3..3 (whose triples are often collinear), or such an int or
+    a Fraction, which keeps every determinant exact."""
+    small_ints = st.integers(-3, 3)
+    coordinate = draw(st.sampled_from([
+        long_ints, small_ints,
+        small_ints | st.fractions(-3, 3, max_denominator=4)]))
+    ax, ay, dy, cx = (draw(coordinate) for _ in range(4))
+    m = draw(st.integers(-2, 2))
+    # b - a = (1, dy), so delta(a, b, c) = (cy - ay) - dy * (cx - ax).
+    points = [(ax, ay), (ax + 1, ay + dy),
+              (cx, ay + dy * (cx - ax) + m * MODULUS)]
+    points += draw(st.lists(st.tuples(coordinate, coordinate), max_size=5))
+    return [P(*points[i]) for i in draw(st.permutations(range(len(points))))]
+
+
+def exact_sweep(triples):
+    """(no determinant is 0, determinants taken): the exact sweep that
+    stops at the first 0, which the residue sweeps must match in both."""
+    for count, triple in enumerate(triples, 1):
+        if delta(*triple) == 0:
+            return False, count
+    return True, len(triples)
+
+
+def with_count(sweep, *args):
+    before = delta_evaluations()
+    result = sweep(*args)
+    return result, delta_evaluations() - before
+
+
+# Collinear, with an int that reducing would move by MODULUS beside a
+# Fraction: the determinant would then be off by a non-integer multiple.
+@example(points=[P(-1, 0), P(0, Fraction(1, 2)), P(1, 1)])
+@settings(deadline=None)
+@given(points=points_with_a_modulus_multiple())
+def test_the_residue_sweeps_find_exactly_the_zero_determinants(points):
+    assert with_count(is_strict, points) == exact_sweep(
+        list(itertools.combinations(points, 3)))
+    *polygon, vertex = points
+    k = len(polygon)
+    tests = [*((polygon[i], polygon[i + 1], vertex) for i in range(k - 1)),
+             *((polygon[-1], vertex, polygon[j]) for j in range(k - 1)),
+             *((vertex, polygon[0], polygon[j]) for j in range(1, k))]
+    assert with_count(generator._keeps_quasi_strict, polygon, vertex) == \
+        exact_sweep(tests)
+
+
+def test_the_residue_sweeps_count_one_determinant_per_test():
+    # The counts of the exact sweeps, which took delta() at every test.
+    convex = make_strictly_convex(20)
+    assert with_count(hull_oracle, convex)[1] == 1194
+    assert with_count(generator.make_minimality_witness,
+                      12, ConditionId(2, 7))[1] == 219
