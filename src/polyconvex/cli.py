@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -34,6 +35,8 @@ _ROW_SLICE = 4096
 _SIGN_TEXT = {1: "=+1", 0: "=+0", -1: "=-1"}
 
 
+# Built once per process: parse_args leaves the parser as it was.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyconvex",

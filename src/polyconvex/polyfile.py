@@ -25,17 +25,25 @@ sequence contains either byte, decodes on its own.  Only a file with no
 line end, one huge line, is read as one block, held whole.  Nothing seeks,
 so a pipe reads like a file.  A block made only of lines of two plain
 tokens (an integer, "p/q" or "a.b" in ASCII digits, with an optional "-" on
-the integer, p or a, separated by spaces or tabs), as one regex match tells,
-is read in C into ratio columns: whole-block replace, translate and split,
-int() on each part and one map over the tokens, with no per-line code.  A
-token the shortcut of ``parse_scalar`` would leave to Fraction (a zero
-denominator, more than MAX_DIGITS characters, digits past a lowered
-int-string limit) sends its block back to the per-line reader.  Any other
-block is decoded and read line by line by the same code as
-``parse_polygon``, so values, messages and line numbers never depend on the
-blocks.  Errors come in file order: a bad line ahead of a non-UTF-8 byte is
-reported first.  ``parse_polygon`` and ``read_polygon_file`` give the
-vertices as a tuple of Points.
+the integer, p or a, separated by spaces or tabs) is read in C into ratio
+columns: whole-block replace, translate and split, int() on each part and
+one map over the tokens, with no per-line code.  A block as
+``format_polygon`` writes it, one space between two tokens and every line
+ending in "\n" (or every one in "\r\n"), is told by its skeleton: one
+translate deletes the token bytes, and what is left must be one space and
+one line end per line, with two tokens per line.  Its tokens are checked as
+they are read: int() refuses a bad integer ("-", "1-2"), each distinct
+rational token shape (its digits zeroed) is matched once, and a token of
+more than MAX_DIGITS characters is refused under any int-string limit.  Any
+other plain block is told by one regex match over its bytes.  A token the
+shortcut of ``parse_scalar`` would leave to Fraction (a zero denominator,
+more than MAX_DIGITS characters, digits past a lowered int-string limit)
+sends its block back to the per-line reader.  Every other block is decoded
+and read line by line by the same code as ``parse_polygon``, so values,
+messages and line numbers never depend on the blocks.  Errors come in file
+order: a bad line ahead of a non-UTF-8 byte is reported first.
+``parse_polygon`` and ``read_polygon_file`` give the vertices as a tuple of
+Points.
 
 ``iter_scaled_polygon`` reads the same blocks for the linear deciders and
 gives each vertex as (x * Dx, y * Dy), Dx and Dy > 0, as ints built by
@@ -54,6 +62,7 @@ import functools
 import itertools
 import operator
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -184,24 +193,41 @@ _BLOCK_SIZE = 1 << 16
 _BYTE_ORDER_MARK = "\ufeff".encode()
 
 
-def _lines_of_two(token: bytes):
-    """A regex for lines of two tokens, separated by spaces or tabs, each
-    line ending in "\r", "\n", "\r\n" or the end of the block.  *+ keeps
-    no backtracking state per line."""
-    return re.compile(rb"(?:[ \t]*%s[ \t]+%s[ \t]*(?:\r\n?|\n|\Z))*+"
-                      % (token, token))
+# Plain lines, for a block that is not canonical (_canonical): two plain
+# tokens, an integer, "p/q" or "a.b" in ASCII digits, with an optional "-"
+# on the integer, p or a, separated by spaces or tabs, each line ending in
+# "\r", "\n", "\r\n" or the end of the block.  *+ keeps no backtracking
+# state per line.  Token lengths are checked as the values are read.
+_PLAIN_TOKEN = rb"-?[0-9]++(?:[./][0-9]++)?+"
+_PLAIN_BLOCK = re.compile(rb"(?:[ \t]*%s[ \t]+%s[ \t]*(?:\r\n?|\n|\Z))*+"
+                          % (_PLAIN_TOKEN, _PLAIN_TOKEN))
 
-
-# Plain tokens: an integer, "p/q" or "a.b" in ASCII digits, with an optional
-# "-" on the integer, p or a.  The token length is checked as the shapes
-# are read (_Denominators).
-_PLAIN_BLOCK = _lines_of_two(rb"-?[0-9]++(?:[./][0-9]++)?+")
-# A block with no "/" or "." takes this match, about a third cheaper on
-# integer lines; its cap holds under any int-string limit.
-_INTEGER_BLOCK = _lines_of_two(rb"-?[0-9]{1,%d}" % MAX_DIGITS)
+# The bytes of integer tokens, and those of rational ones.
+_INTEGER_BYTES = b"0123456789-"
+_RATIONAL_BYTES = b"0123456789-./"
 
 # Maps every digit to "0": a token's shape.
 _ZERO_DIGITS = bytes.maketrans(b"0123456789", b"0" * 10)
+
+# The shape of a plain rational token.
+_PLAIN_SHAPE = re.compile(rb"-?0+(?:[./]0+)?")
+
+
+def _canonical(block: bytes, skeleton: bytes, token_count: int) -> bool:
+    """Whether ``block`` holds only lines as format_polygon writes them: two
+    tokens with one space between, every line ending in "\n", or every one
+    in "\r\n", the last line's end optional.  ``skeleton`` is the block
+    with its token bytes deleted, ``token_count`` the number of its
+    whitespace-separated tokens.  One space per line leaves room for at
+    most two tokens, so two per line proves that every line holds two."""
+    end = b"\r\n" if skeleton[1:2] == b"\r" else b"\n"
+    lines = (b" " + end) * (token_count // 2)
+    if not block.endswith(end):
+        lines = lines[:-len(end)]
+    # A "\r\n" of the skeleton is whole in the block iff no token sits
+    # between its two bytes.
+    return (token_count % 2 == 0 and skeleton == lines
+            and (end == b"\n" or block.count(end) == skeleton.count(end)))
 
 
 class _Ratios(NamedTuple):
@@ -217,7 +243,8 @@ class _Denominators(dict):
     """Token shape -> the iterator its denominator is taken from: ``ints``
     for "p/q", whose q follows p there, else a constant 10**k for a decimal
     of k places, or 1 for an integer.  __missing__ runs once per distinct
-    shape; most blocks have only a few."""
+    shape, most blocks having only a few, and raises ValueError for a shape
+    that is not plain or is longer than MAX_DIGITS."""
 
     __slots__ = ("ints",)
 
@@ -229,6 +256,8 @@ class _Denominators(dict):
         if len(shape) > MAX_DIGITS:
             # parse_scalar's shortcut leaves a token this long to Fraction.
             raise ValueError("token beyond the shortcut's length")
+        if not _PLAIN_SHAPE.fullmatch(shape):
+            raise ValueError("not a plain token")
         if b"/" in shape:
             source = self.ints
         else:
@@ -246,19 +275,31 @@ def _plain_ratios(block: bytes) -> Optional[_Ratios]:
     zero denominator, more than MAX_DIGITS characters, or digits past a
     lowered int-string limit."""
     rational = b"/" in block or b"." in block
-    if not (_PLAIN_BLOCK if rational else _INTEGER_BLOCK).fullmatch(block):
+    # The integer tokens, or the shapes of the rational ones.
+    tokens = (block.translate(_ZERO_DIGITS) if rational else block).split()
+    skeleton = block.translate(None,
+                               _RATIONAL_BYTES if rational else _INTEGER_BYTES)
+    if not (_canonical(block, skeleton, len(tokens))
+            or _PLAIN_BLOCK.fullmatch(block)):
         return None
     try:
         if not rational:
-            return _Ratios(list(map(int, block.split())), None)
+            # parse_scalar's shortcut leaves a token of more than MAX_DIGITS
+            # characters to Fraction; int() itself refuses such a run of
+            # digits only under an int-string limit of at most MAX_DIGITS.
+            if (not 0 < sys.get_int_max_str_digits() <= MAX_DIGITS
+                    and max(map(len, tokens), default=0) > MAX_DIGITS):
+                return None
+            # int() refuses "-", "1-2" and "--5".
+            return _Ratios(list(map(int, tokens)), None)
         # Each token's numerator ("a.b" read as ab), with a p/q token's q
         # right after its p.
         ints = map(int, block.replace(b".", b"").replace(b"/", b" ").split())
         # zip asks for a token's source before map(next) reads its
-        # numerator, so a token is measured before int() reads it; the
-        # numerator then comes first, and q, if the source is ints, after.
-        sources = map(_Denominators(ints).__getitem__,
-                      block.translate(_ZERO_DIGITS).split())
+        # numerator, so a token is measured and its shape checked before
+        # int() reads it; the numerator then comes first, and q, if the
+        # source is ints, after.
+        sources = map(_Denominators(ints).__getitem__, tokens)
         flat = list(map(next, itertools.chain.from_iterable(
             zip(itertools.repeat(ints), sources))))
     except ValueError:

@@ -269,6 +269,28 @@ def test_python_dash_m_polyconvex_runs_the_cli(tmp_path, text, code, out):
     assert (done.returncode, done.stdout) == (code, out), done.stderr
 
 
+def test_main_called_twice_prints_what_fresh_processes_print(swapped_file,
+                                                              capsys):
+    # The parser is built once per process; a run's flags must not leak
+    # into the next run.
+    src = str(Path(cli.__file__).parent.parent)
+    runs = [["check", swapped_file, "--explain"], ["check", swapped_file]]
+    fresh = []
+    for argv in runs:
+        done = subprocess.run([sys.executable, "-m", "polyconvex", *argv],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    in_process = []
+    for argv in runs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert in_process == fresh
+    assert "signs a:" in fresh[0][1] and "signs" not in fresh[1][1]
+    assert cli._build_parser() is cli._build_parser()
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"),
                     reason="no /dev/stdin on this platform")
 @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"],

@@ -716,3 +716,146 @@ def test_plain_rational_blocks_under_a_lowered_int_string_limit(tmp_path):
     finally:
         sys.set_int_max_str_digits(limit)
     assert expected[0] == "error" and expected[2] == 2
+
+
+# Tokens of plain bytes only, many of them one edit away from a plain token.
+near_miss_tokens = st.one_of(
+    st.from_regex(r"-?[0-9]{1,3}([./][0-9]{1,2})?", fullmatch=True),
+    st.sampled_from(["", "-", "1-2", "--5", "1.2.3", "1/2/3", "./", "-1/-2",
+                     "1/0", "5.", ".5", "-.5", "00/00"]),
+    st.text(alphabet="0123456789-./", max_size=5),
+)
+near_miss_lines = st.one_of(
+    # Listed twice, so that about half the lines look canonical.
+    st.builds("{} {}".format, near_miss_tokens, near_miss_tokens),
+    st.builds("{} {}".format, near_miss_tokens, near_miss_tokens),
+    # Leading or trailing spaces, a blank line, one or three tokens.
+    st.builds("{}{} {}{}".format, st.sampled_from(["", " ", "  "]),
+              near_miss_tokens, near_miss_tokens,
+              st.sampled_from(["", " ", "  "])),
+    st.sampled_from(["", " "]),
+    st.lists(near_miss_tokens, min_size=1, max_size=3).map(" ".join),
+)
+line_ends = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def near_miss_texts(draw):
+    """Lines ending in one line end, or each in its own, with or without a
+    final line end."""
+    body = draw(st.lists(near_miss_lines, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        ends = [draw(line_ends)] * len(body)
+    else:
+        ends = draw(st.lists(line_ends, min_size=len(body),
+                             max_size=len(body)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(map("".join, zip(body, ends)))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 16, 64])
+@given(text=near_miss_texts())
+# Two tokens and one space per line, but a token astray; two line ends.
+@example(text="1 \n3")
+@example(text="1 \r2\n3 4\r\n")
+@example(text="1 2\r\n3 4\n")
+@settings(max_examples=150)
+def test_near_canonical_blocks_read_as_the_per_line_parser_reads_them(
+        scratch_path, size, text):
+    expected = polygon_outcome(parse_polygon, text)
+    scratch_path.write_bytes(text.encode())
+    assert polygon_outcome(lambda _: read_in_blocks(scratch_path, size),
+                           text) == expected
+    if expected[:1] == ("error",):
+        assert polygon_outcome(
+            lambda _: read_in_blocks(scratch_path, size, iter_scaled_polygon),
+            text) == expected
+    else:
+        scale_factors(parse_polygon(text),
+                      read_in_blocks(scratch_path, size, iter_scaled_polygon))
+
+
+@pytest.mark.parametrize("block", [b"1 \n3", b"1 2\n3 \n4", b"1 \r2\n3 4\r\n"])
+def test_a_block_with_one_space_per_line_but_a_token_astray_is_refused(block):
+    # Two tokens and one space per line, as a canonical block has, but a
+    # token after the last line end or inside a "\r\n".  The block loop
+    # cuts a file after its last line end, so only a direct call meets the
+    # first two.
+    assert polyfile._plain_ratios(block) is None
+    with pytest.raises(PolygonParseError):
+        parse_polygon(block.decode())
+
+
+class CountingMatch:
+    """A compiled pattern that counts its fullmatch calls."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def fullmatch(self, block):
+        self.calls += 1
+        return self.pattern.fullmatch(block)
+
+
+def parabola_text(n, eol="\n"):
+    return "".join(f"{t - 500} {t * t}{eol}" for t in range(n))
+
+
+@pytest.mark.parametrize("text, matches", [
+    (parabola_text(10 ** 4), 0),
+    (parabola_text(10 ** 4, "\r\n"), 0),
+    (format_polygon([P(Fraction(t, 7), Fraction(-t * t, 3))
+                     for t in range(1, 6000)]), 0),
+    ("".join(f"{t}.{t % 9} -0.{t}\n" for t in range(8000)), 0),
+    (parabola_text(10 ** 4).replace(" ", "\t"), 1),
+], ids=["integer", "integer-crlf", "p/q", "decimal", "tab-separated"])
+def test_only_a_non_canonical_block_takes_the_regex(tmp_path, monkeypatch,
+                                                    text, matches):
+    path = tmp_path / "polygon.txt"
+    path.write_text(text, newline="")
+    assert len(text) > polyfile._BLOCK_SIZE
+    counter = CountingMatch(polyfile._PLAIN_BLOCK)
+    monkeypatch.setattr(polyfile, "_PLAIN_BLOCK", counter)
+    exact = parse_polygon(text)
+    assert read_polygon_file(path) == exact
+    scale_factors(exact, tuple(iter_scaled_polygon(path)))
+    if matches:
+        assert counter.calls >= matches
+    else:
+        assert counter.calls == 0
+
+
+@pytest.mark.parametrize("read", [iter_polygon, iter_scaled_polygon])
+def test_digit_cap_holds_in_a_canonical_block_with_no_int_string_limit(
+        tmp_path, read):
+    # The long token sits past the first 64 KB block.
+    lines = parabola_text(10 ** 4).splitlines(keepends=True)
+    lines[9000] = "1" * (MAX_DIGITS + 1) + " 5\n"
+    path = tmp_path / "polygon.txt"
+    path.write_text("".join(lines))
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(PolygonParseError) as err:
+            tuple(read(path))
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert err.value.line_number == 9001
+    assert str(err.value).startswith("line 9001: bad coordinate '1111")
+
+
+@pytest.mark.parametrize("limit", [None, 0], ids=["default-limit", "no-limit"])
+def test_a_crlf_integer_file_reads_as_its_lf_twin(tmp_path, limit):
+    text = parabola_text(10 ** 4)
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf.write_text(text)
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    before = sys.get_int_max_str_digits()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        for read in (iter_polygon, iter_scaled_polygon):
+            assert tuple(read(crlf)) == tuple(read(lf))
+    finally:
+        sys.set_int_max_str_digits(before)
