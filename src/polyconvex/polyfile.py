@@ -29,13 +29,13 @@ the integer, p or a, separated by spaces or tabs) is read in C into ratio
 columns: whole-block replace, translate and split, int() on each part and
 one map over the tokens, with no per-line code.  A block as
 ``format_polygon`` writes it, one space between two tokens and every line
-ending in "\n" (or every one in "\r\n"), is told by its skeleton: one
-translate deletes the token bytes, and what is left must be one space and
-one line end per line, with two tokens per line.  Its tokens are checked as
-they are read: int() refuses a bad integer ("-", "1-2"), each distinct
-rational token shape (its digits zeroed) is matched once, and a token of
-more than MAX_DIGITS characters is refused under any int-string limit.  Any
-other plain block is told by one regex match over its bytes.  A token the
+ending in "\n", is told by its skeleton: one translate deletes the token
+bytes, and what is left must be one space and one "\n" per line, with two
+tokens per line.  Its tokens are checked as they are read: int() refuses a
+bad integer ("-", "1-2"), each distinct rational token shape (its digits
+zeroed) is matched once, and a token of more than MAX_DIGITS characters is
+refused under any int-string limit.  Any other plain block ("\r\n" line
+ends, tabs) is told by one regex match over its bytes.  A token the
 shortcut of ``parse_scalar`` would leave to Fraction (a zero denominator,
 more than MAX_DIGITS characters, digits past a lowered int-string limit)
 sends its block back to the per-line reader.  Every other block is decoded
@@ -193,7 +193,7 @@ _BLOCK_SIZE = 1 << 16
 _BYTE_ORDER_MARK = "\ufeff".encode()
 
 
-# Plain lines, for a block that is not canonical (_canonical): two plain
+# Plain lines, for a block that is not canonical (_plain_ratios): two plain
 # tokens, an integer, "p/q" or "a.b" in ASCII digits, with an optional "-"
 # on the integer, p or a, separated by spaces or tabs, each line ending in
 # "\r", "\n", "\r\n" or the end of the block.  *+ keeps no backtracking
@@ -211,23 +211,6 @@ _ZERO_DIGITS = bytes.maketrans(b"0123456789", b"0" * 10)
 
 # The shape of a plain rational token.
 _PLAIN_SHAPE = re.compile(rb"-?0+(?:[./]0+)?")
-
-
-def _canonical(block: bytes, skeleton: bytes, token_count: int) -> bool:
-    """Whether ``block`` holds only lines as format_polygon writes them: two
-    tokens with one space between, every line ending in "\n", or every one
-    in "\r\n", the last line's end optional.  ``skeleton`` is the block
-    with its token bytes deleted, ``token_count`` the number of its
-    whitespace-separated tokens.  One space per line leaves room for at
-    most two tokens, so two per line proves that every line holds two."""
-    end = b"\r\n" if skeleton[1:2] == b"\r" else b"\n"
-    lines = (b" " + end) * (token_count // 2)
-    if not block.endswith(end):
-        lines = lines[:-len(end)]
-    # A "\r\n" of the skeleton is whole in the block iff no token sits
-    # between its two bytes.
-    return (token_count % 2 == 0 and skeleton == lines
-            and (end == b"\n" or block.count(end) == skeleton.count(end)))
 
 
 class _Ratios(NamedTuple):
@@ -275,12 +258,22 @@ def _plain_ratios(block: bytes) -> Optional[_Ratios]:
     zero denominator, more than MAX_DIGITS characters, or digits past a
     lowered int-string limit."""
     rational = b"/" in block or b"." in block
-    # The integer tokens, or the shapes of the rational ones.
-    tokens = (block.translate(_ZERO_DIGITS) if rational else block).split()
+    # A block as format_polygon writes it, two tokens with one space between
+    # and every line ending in "\n", the last line's end optional, leaves
+    # one " \n" per line once its token bytes are deleted.
     skeleton = block.translate(None,
                                _RATIONAL_BYTES if rational else _INTEGER_BYTES)
-    if not (_canonical(block, skeleton, len(tokens))
-            or _PLAIN_BLOCK.fullmatch(block)):
+    lines = b" \n" * ((len(skeleton) + 1) // 2)
+    # A skeleton that ends in "\n" says nothing of a token after it.
+    canonical = lines.startswith(skeleton) and (
+        len(skeleton) % 2 == 1 or block.endswith(b"\n"))
+    if not (canonical or _PLAIN_BLOCK.fullmatch(block)):
+        return None
+    # The integer tokens, or the shapes of the rational ones.
+    tokens = (block.translate(_ZERO_DIGITS) if rational else block).split()
+    # One space per line leaves room for at most two tokens, so two per line
+    # proves that every line holds two; fewer is no plain block either.
+    if canonical and len(tokens) != len(lines):
         return None
     try:
         if not rational:

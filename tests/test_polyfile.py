@@ -776,12 +776,11 @@ def test_near_canonical_blocks_read_as_the_per_line_parser_reads_them(
                       read_in_blocks(scratch_path, size, iter_scaled_polygon))
 
 
-@pytest.mark.parametrize("block", [b"1 \n3", b"1 2\n3 \n4", b"1 \r2\n3 4\r\n"])
+@pytest.mark.parametrize("block", [b"1 \n3", b"1 2\n3 \n4", b"1 \n3 4\n"])
 def test_a_block_with_one_space_per_line_but_a_token_astray_is_refused(block):
-    # Two tokens and one space per line, as a canonical block has, but a
-    # token after the last line end or inside a "\r\n".  The block loop
-    # cuts a file after its last line end, so only a direct call meets the
-    # first two.
+    # One space per line, as a canonical block has, but a token after the
+    # last line end, or a line of one token.  The block loop cuts a file
+    # after its last line end, so only a direct call meets the first two.
     assert polyfile._plain_ratios(block) is None
     with pytest.raises(PolygonParseError):
         parse_polygon(block.decode())
@@ -804,12 +803,12 @@ def parabola_text(n, eol="\n"):
 
 @pytest.mark.parametrize("text, matches", [
     (parabola_text(10 ** 4), 0),
-    (parabola_text(10 ** 4, "\r\n"), 0),
     (format_polygon([P(Fraction(t, 7), Fraction(-t * t, 3))
                      for t in range(1, 6000)]), 0),
     ("".join(f"{t}.{t % 9} -0.{t}\n" for t in range(8000)), 0),
     (parabola_text(10 ** 4).replace(" ", "\t"), 1),
-], ids=["integer", "integer-crlf", "p/q", "decimal", "tab-separated"])
+    (parabola_text(10 ** 4, "\r\n"), 1),
+], ids=["integer", "p/q", "decimal", "tab-separated", "integer-crlf"])
 def test_only_a_non_canonical_block_takes_the_regex(tmp_path, monkeypatch,
                                                     text, matches):
     path = tmp_path / "polygon.txt"
