@@ -21,8 +21,8 @@ import traceback
 from .fast_test import ConditionId, is_strictly_convex, is_strictly_convex_chain
 from .generator import make_minimality_witness, make_strictly_convex
 from .oracles import hull_oracle, strictly_convex_oracle
-from .polyfile import (MAX_DIGITS, PolygonParseError, iter_polygon,
-                       iter_scaled_polygon, write_polygon_file)
+from .polyfile import (MAX_DIGITS, PolygonParseError, iter_scaled_polygon,
+                       read_polygon_file, write_polygon_file)
 
 # Largest `generate --n`.  The coordinates of make_strictly_convex(56) and
 # of every witness at n = 56 have at most 4,178 digits; at n = 57 they
@@ -97,7 +97,7 @@ def _cmd_check(args) -> int:
     # oracles need the vertices held, and exact: under --oracle the deciders
     # read those too, so that the cross-check does not rest on the scaling.
     if args.oracle:
-        vertices = tuple(iter_polygon(args.file))
+        vertices = read_polygon_file(args.file)
     else:
         vertices = iter_scaled_polygon(args.file)
     # Only --explain and --json print signs; no other run collects them.

@@ -49,9 +49,8 @@ Base cases: every polygon with n <= 2 is strictly convex, and a triangle is
 strictly convex iff its three vertices are not collinear.
 
 The deciders take any iterable of (x, y) pairs and read it once, so a file
-can be decided as it is parsed (``polyfile.iter_scaled_polygon``, as
-``check`` does, or ``polyfile.iter_polygon``).  A fail-fast
-scan stops taking determinants one step past the first failure's index, but
+can be decided as it is parsed, as ``check`` does with
+``polyfile.iter_scaled_polygon``.  A fail-fast scan stops taking determinants one step past the first failure's index, but
 still reads the input to its end, to count n and to raise on a bad point
 past the failure.
 

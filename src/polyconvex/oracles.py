@@ -21,9 +21,13 @@ Three definition-level predicates, ``is_strict``, ``is_quasi_strict`` and
 clarity over speed.  The sidedness oracle is built on ``strictly_one_side``,
 the hull oracle on ``is_strict``; ``is_quasi_strict`` checks the property
 that the generator keeps at every step.  Each predicate checks its input
-at entry.  Each oracle checks its input once, in ``integer_scaled``, which
-reads it once, so any iterable will do; the sidedness oracle then runs
-the body of ``strictly_one_side`` without a check per edge.
+at entry.  Each oracle checks its input first in ``integer_scaled``, which
+reads it once, so any iterable will do.  The sidedness oracle then runs
+the body of ``strictly_one_side`` without a check per edge.  The hull
+oracle checks the scaled points twice more: in ``convex_hull``, called from
+``matches_hull_order``, and, when the order matches, in ``is_strict``.
+Those checks stay, so that each helper is safe to call on its own: each is
+an O(n) type scan in C beside an O(n^3) sweep.
 """
 
 from __future__ import annotations

@@ -17,41 +17,39 @@ reduced by at most one Fraction(n, d); every other token goes to Fraction's
 own parser, so what a token means and which error it raises never depend on
 the shortcut.
 
-``iter_polygon`` streams a file as (x, y) pairs in one pass, holding one
-block of it at a time.  Each block is a 64 KB binary read, cut after its
-last "\n" or "\r" (a "\r\n" is never cut in two), behind what the read
-before left over, so it holds whole lines and, since no UTF-8 multibyte
-sequence contains either byte, decodes on its own.  Only a file with no
-line end, one huge line, is read as one block, held whole.  Nothing seeks,
-so a pipe reads like a file.  A block made only of lines of two plain
-tokens (an integer, "p/q" or "a.b" in ASCII digits, with an optional "-" on
-the integer, p or a, separated by spaces or tabs) is read in C into ratio
-columns: whole-block replace, translate and split, int() on each part and
-one map over the tokens, with no per-line code.  A block as
-``format_polygon`` writes it, one space between two tokens and every line
-ending in "\n", is told by its skeleton: one translate deletes the token
-bytes, and what is left must be one space and one "\n" per line, with two
-tokens per line.  Its tokens are checked as they are read: int() refuses a
-bad integer ("-", "1-2"), each distinct rational token shape (its digits
-zeroed) is matched once, and a token of more than MAX_DIGITS characters is
-refused under any int-string limit.  Any other plain block ("\r\n" line
-ends, tabs) is told by one regex match over its bytes.  A token the
-shortcut of ``parse_scalar`` would leave to Fraction (a zero denominator,
-more than MAX_DIGITS characters, digits past a lowered int-string limit)
-sends its block back to the per-line reader.  Every other block is decoded
-and read line by line by the same code as ``parse_polygon``, so values,
-messages and line numbers never depend on the blocks.  Errors come in file
-order: a bad line ahead of a non-UTF-8 byte is reported first.
+Both file readers, ``read_polygon_file`` and ``iter_scaled_polygon``,
+read a file in one pass, one block at a time.  Each block is a 64 KB binary
+read, cut after its last "\n" or "\r" (a "\r\n" is never cut in two),
+behind what the read before left over, so it holds whole lines and, since
+no UTF-8 multibyte sequence contains either byte, decodes on its own.  Only
+a file with no line end, one huge line, is read as one block, held whole.
+Nothing seeks, so a pipe reads like a file.  One kind of block is read in
+C, into ratio columns, with no per-line code: a block as ``format_polygon``
+writes it, two plain tokens per line (an integer, "p/q" or "a.b" in ASCII
+digits, with an optional "-" on the integer, p or a), one space between
+them, and every line ending in "\n".  It is told by its skeleton: one
+translate deletes the token bytes, and what is left must be one space and
+one "\n" per line, with two tokens per line.  Its tokens are checked as
+they are read: int() refuses a bad integer ("-", "1-2"), each distinct
+rational token shape (its digits zeroed) is matched once, and a token of
+more than MAX_DIGITS characters is refused under any int-string limit.  A
+token the shortcut of ``parse_scalar`` would leave to Fraction (a zero
+denominator, more than MAX_DIGITS characters, digits past a lowered
+int-string limit) sends its block back to the per-line reader.  Every other
+block ("\r\n" or "\r" line ends, tabs, runs of spaces, comments) is
+decoded and read line by line by the same code as ``parse_polygon``, so
+values, messages and line numbers never depend on the blocks.  Errors come
+in file order: a bad line ahead of a non-UTF-8 byte is reported first.
 ``parse_polygon`` and ``read_polygon_file`` give the vertices as a tuple of
 Points.
 
-``iter_scaled_polygon`` reads the same blocks for the linear deciders and
+``iter_scaled_polygon`` streams the blocks to the linear deciders and
 gives each vertex as (x * Dx, y * Dy), Dx and Dy > 0, as ints built by
 C-level column maps: the first block that holds a vertex fixes each D by
 the scan's own rule and guard (``geometry._Scale``), and a value whose
 denominator does not divide D comes as an exact Fraction.  Every
 orientation determinant is multiplied by Dx * Dy, so every sign and verdict
-is kept.  ``check --oracle`` reads exact values with ``iter_polygon``
+is kept.  ``check --oracle`` reads exact values with ``read_polygon_file``
 instead, so that a fault in the scaling cannot make the deciders and the
 oracles agree on the same wrong polygon.
 """
@@ -193,15 +191,6 @@ _BLOCK_SIZE = 1 << 16
 _BYTE_ORDER_MARK = "\ufeff".encode()
 
 
-# Plain lines, for a block that is not canonical (_plain_ratios): two plain
-# tokens, an integer, "p/q" or "a.b" in ASCII digits, with an optional "-"
-# on the integer, p or a, separated by spaces or tabs, each line ending in
-# "\r", "\n", "\r\n" or the end of the block.  *+ keeps no backtracking
-# state per line.  Token lengths are checked as the values are read.
-_PLAIN_TOKEN = rb"-?[0-9]++(?:[./][0-9]++)?+"
-_PLAIN_BLOCK = re.compile(rb"(?:[ \t]*%s[ \t]+%s[ \t]*(?:\r\n?|\n|\Z))*+"
-                          % (_PLAIN_TOKEN, _PLAIN_TOKEN))
-
 # The bytes of integer tokens, and those of rational ones.
 _INTEGER_BYTES = b"0123456789-"
 _RATIONAL_BYTES = b"0123456789-./"
@@ -214,7 +203,7 @@ _PLAIN_SHAPE = re.compile(rb"-?0+(?:[./]0+)?")
 
 
 class _Ratios(NamedTuple):
-    """A plain block's values as ratio columns, x and y interleaved:
+    """A canonical block's values as ratio columns, x and y interleaved:
     value k is nums[k] / dens[k], not reduced; dens is None when every
     value is an int."""
 
@@ -252,11 +241,11 @@ class _Denominators(dict):
 
 
 def _plain_ratios(block: bytes) -> Optional[_Ratios]:
-    """The values of a block of plain lines as ratio columns, read in C:
-    the same values parse_scalar gives.  None for any other block, and for
-    one holding a token the shortcut of parse_scalar leaves to Fraction: a
-    zero denominator, more than MAX_DIGITS characters, or digits past a
-    lowered int-string limit."""
+    """The values of a canonical block as ratio columns, read in C: the
+    same values parse_scalar gives.  None for any other block, and for one
+    holding a token the shortcut of parse_scalar leaves to Fraction: a zero
+    denominator, more than MAX_DIGITS characters, or digits past a lowered
+    int-string limit."""
     rational = b"/" in block or b"." in block
     # A block as format_polygon writes it, two tokens with one space between
     # and every line ending in "\n", the last line's end optional, leaves
@@ -265,15 +254,14 @@ def _plain_ratios(block: bytes) -> Optional[_Ratios]:
                                _RATIONAL_BYTES if rational else _INTEGER_BYTES)
     lines = b" \n" * ((len(skeleton) + 1) // 2)
     # A skeleton that ends in "\n" says nothing of a token after it.
-    canonical = lines.startswith(skeleton) and (
-        len(skeleton) % 2 == 1 or block.endswith(b"\n"))
-    if not (canonical or _PLAIN_BLOCK.fullmatch(block)):
+    if not (lines.startswith(skeleton) and (
+            len(skeleton) % 2 == 1 or block.endswith(b"\n"))):
         return None
     # The integer tokens, or the shapes of the rational ones.
     tokens = (block.translate(_ZERO_DIGITS) if rational else block).split()
     # One space per line leaves room for at most two tokens, so two per line
-    # proves that every line holds two; fewer is no plain block either.
-    if canonical and len(tokens) != len(lines):
+    # proves that every line holds two; fewer is no canonical block either.
+    if len(tokens) != len(lines):
         return None
     try:
         if not rational:
@@ -332,7 +320,7 @@ def _blocks(file):
 
 
 def _parsed_blocks(path):
-    """Per block, in file order: a plain block's _Ratios, or the (x, y)
+    """Per block, in file order: a canonical block's _Ratios, or the (x, y)
     pairs of any other block, read by the per-line parser."""
     line_number = 1
     end = 0  # bytes read so far
@@ -375,16 +363,6 @@ def _exact_pairs(block) -> Iterator[tuple]:
     nums, dens = block
     values = iter(nums if dens is None else map(_exact, nums, dens))
     return zip(values, values)
-
-
-def iter_polygon(path) -> Iterator[tuple]:
-    """The vertices of a polygon file as (x, y) pairs, read in one pass.
-
-    The file is opened at the first pair asked for; an error, a parse error
-    or OSError, is raised when the iteration reaches it.
-    """
-    return itertools.chain.from_iterable(map(_exact_pairs,
-                                             _parsed_blocks(path)))
 
 
 def _settle(scale: _Scale, nums: list, dens: list) -> None:
@@ -452,15 +430,16 @@ def iter_scaled_polygon(path) -> Iterator[tuple]:
     as an exact Fraction, which the scan scales as it reads it.  Scaling
     each axis by a positive constant keeps the sign of every orientation
     determinant, so the deciders give on this stream the report they give
-    on ``iter_polygon``'s exact values.  Parse errors are those of
-    ``iter_polygon``.
+    on the exact values of ``read_polygon_file``.  Parse errors are those of
+    ``read_polygon_file``.
     """
     return itertools.chain.from_iterable(
         map(functools.partial(_scaled_pairs, []), _parsed_blocks(path)))
 
 
 def read_polygon_file(path) -> tuple:
-    return tuple(itertools.starmap(Point, iter_polygon(path)))
+    return tuple(itertools.starmap(Point, itertools.chain.from_iterable(
+        map(_exact_pairs, _parsed_blocks(path)))))
 
 
 def write_polygon_file(path, vertices: Sequence[Point]) -> None:

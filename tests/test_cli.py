@@ -296,14 +296,26 @@ def test_main_called_twice_prints_what_fresh_processes_print(swapped_file,
 @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"],
                          ids=["plain", "byte-order-mark"])
 def test_check_reads_a_pipe(mark):
-    # A pipe cannot seek: the reader must take the file front to back.
+    # A pipe cannot seek: the reader must take the file front to back.  Nor
+    # can it be read twice: a second read gets no vertices, so --oracle must
+    # read its file once.
     src = str(Path(cli.__file__).parent.parent)
-    done = subprocess.run([sys.executable, "-m", "polyconvex", "check",
-                           "/dev/stdin"], input=mark + SQUARE_TEXT.encode(),
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True)
-    assert (done.returncode, done.stdout) == (0, b"strictly-convex\n"), \
-        done.stderr
+    oracle_json = {"verdict": True, "n": 4, "failed": None,
+                   "signs": {"a": [1], "b": [1, 1], "c": [1, 1]},
+                   "oracle": {"sidedness": True, "hull": True,
+                              "agree": True}}
+    for flags, expected in (
+            ([], b"strictly-convex\n"),
+            (["--oracle"], b"strictly-convex\n"
+                           b"oracles: sidedness=true hull=true -> agree\n"),
+            (["--oracle", "--json"], json.dumps(oracle_json).encode() + b"\n"),
+    ):
+        done = subprocess.run([sys.executable, "-m", "polyconvex", "check",
+                               "/dev/stdin", *flags],
+                              input=mark + SQUARE_TEXT.encode(),
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True)
+        assert (done.returncode, done.stdout) == (0, expected), done.stderr
 
 
 def buffered_stdout_env():
