@@ -33,8 +33,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .fast_test import InvalidConditionId, is_strictly_convex
-from .geometry import (MODULUS, Point, _scale_all, _Scale,
-                       add_delta_evaluations, delta, residues)
+from .geometry import Point, _any_collinear, _scale_all, _Scale, delta
 
 DEFAULT_SEED_TRIANGLE = (Point(0, 0), Point(1, 0), Point(0, 1))
 
@@ -42,31 +41,20 @@ DEFAULT_SEED_TRIANGLE = (Point(0, 0), Point(1, 0), Point(0, 1))
 def _keeps_quasi_strict(polygon: Sequence[Point], vertex: Point) -> bool:
     """Would appending ``vertex`` keep a quasi-strict polygon quasi-strict?
 
-    Only the checks involving the new vertex are needed: the old open edges
-    against it, and the two new edges against every old vertex: 3(k-1)
-    determinants, O(k).  The build loop passes its integer copy and the
-    candidate scaled to match, whose determinants have the same signs.  A
-    determinant is taken exactly only where its residue is 0
-    (``geometry.residues``), and each test visited counts as one
-    determinant evaluated.
+    Only the checks involving the new vertex q are needed: the old open
+    edges against it, and the two new edges against every old vertex:
+    3(k-1) determinants, O(k).  The build loop passes its integer copy and
+    the candidate scaled to match, whose determinants have the same signs.
+    ``geometry._any_collinear`` takes them with q, at index k, as the
+    pivot: each old open edge is a row of one, then the new edge from
+    V[k-1] and the closing edge to V0 are each one row over the other k-1
+    old vertices.
     """
     k = len(polygon)
-    exact = [*polygon, vertex]
-    points = residues(exact)
-    triples = [*((i, i + 1, k) for i in range(k - 1)),
-               *((k - 1, k, j) for j in range(k - 1)),
-               *((k, 0, j) for j in range(1, k))]
-    tests = 0
-    for a, b, c in triples:
-        (ax, ay), (bx, by), (cx, cy) = points[a], points[b], points[c]
-        if ((bx - ax) * (cy - ay) - (cx - ax) * (by - ay)) % MODULUS:
-            tests += 1
-        # delta() counts the exact test itself.
-        elif delta(exact[a], exact[b], exact[c]) == 0:
-            add_delta_evaluations(tests)
-            return False
-    add_delta_evaluations(tests)
-    return True
+    return not _any_collinear(
+        [*polygon, vertex],
+        [(k, [*((i, i + 1, i + 2) for i in range(k - 1)),
+              (k - 1, 0, k - 1), (0, 1, k)])])
 
 
 def _arc_steps(polygon: tuple, omegas) -> tuple:

@@ -11,9 +11,9 @@ rounding error near a collinear configuration could flip it.
 package, and the generator, turns a rational axis into ints:
 ``integer_scaled`` applies it to a whole point list at once for the oracles;
 ``fast_test`` applies it as it streams, and the generator as it grows a
-polygon one vertex at a time.  ``residues`` serves the sweeps that ask only
-whether a determinant is 0: the hull oracle's triple check and the
-generator's test of each candidate vertex.
+polygon one vertex at a time.  ``_any_collinear`` is the one sweep that
+asks only whether a determinant is 0, by its residue first: the hull
+oracle's triple check and the generator's test of each candidate vertex.
 """
 
 from __future__ import annotations
@@ -169,22 +169,50 @@ def _scale_all(points, sx: _Scale, sy: _Scale) -> list:
 MODULUS = (1 << 61) - 1
 
 
-def residues(points: Sequence) -> Sequence:
-    """The points for zero tests of their determinants modulo MODULUS.
+def _any_collinear(points: Sequence, pivots: Iterable) -> bool:
+    """Is one of the listed orientation determinants of the points 0?
 
-    A nonzero residue proves a determinant nonzero, so a sweep that asks
-    only which determinants are 0 need take the exact one only where the
-    residue is 0 (Brönnimann, Emiris, Pan and Pion, "Sign determination in
-    residue number systems", Theoret. Comput. Sci. 210, 1999).  When every
-    coordinate is an int, each comes back reduced, and a determinant of the
-    reduced points is congruent to the exact one whatever their length.
-    Otherwise the points come back as they are, since a reduced int beside
-    a Fraction would not keep that congruence; the determinant is then the
-    exact one, and an exact 0 is 0 modulo MODULUS too.
+    ``pivots`` yields pairs (i, rows), each row a triple (j, start, stop):
+    the tests delta(V[i], V[j], V[k]) for start <= k < stop, in that order.
+    With every vertex taken relative to V[i], a row's determinants are
+    cross products with V[j]'s, two products each, in one comprehension.
+    Each is taken modulo MODULUS first: a nonzero residue proves a
+    determinant nonzero, so the exact one is taken only where the residue
+    is 0 (Brönnimann, Emiris, Pan and Pion, "Sign determination in residue
+    number systems", Theoret. Comput. Sci. 210, 1999).  When every
+    coordinate is an int, the points are reduced first, and a determinant
+    of the reduced points is congruent to the exact one whatever their
+    length.  Otherwise they are kept as they are, since a reduced int
+    beside a Fraction would not keep that congruence; the determinant is
+    then the exact one, and an exact 0 is 0 modulo MODULUS too.  The sweep
+    stops at the first exact 0, and each test visited counts as one
+    determinant evaluated.  The points are not checked: ``is_strict``
+    checks its input, and the generator passes its integer copy.
     """
+    global _delta_evaluations
+    reduced = points
     if set(map(type, itertools.chain.from_iterable(points))) <= {int}:
-        return [(x % MODULUS, y % MODULUS) for x, y in points]
-    return points
+        reduced = [(x % MODULUS, y % MODULUS) for x, y in points]
+    tests = 0
+    for i, rows in pivots:
+        xi, yi = reduced[i]
+        relative = [(x - xi, y - yi) for x, y in reduced]
+        for j, start, stop in rows:
+            dx, dy = relative[j]
+            row = [(dx * y - dy * x) % MODULUS
+                   for x, y in relative[start:stop]]
+            if 0 not in row:
+                tests += len(row)
+                continue
+            for k, residue in enumerate(row, start):
+                if residue:
+                    tests += 1
+                # delta() counts the exact test itself.
+                elif delta(points[i], points[j], points[k]) == 0:
+                    _delta_evaluations += tests
+                    return True
+    _delta_evaluations += tests
+    return False
 
 
 def sign_of(value: Scalar) -> int:

@@ -16,26 +16,31 @@ order and equality, and every point is scaled by the same settled one, so a
 fault there cannot make an oracle agree with a wrong scan.  The window
 update that could corrupt a scan is in ``fast_test._scan`` alone.
 
-Three definition-level predicates, ``is_strict``, ``is_quasi_strict`` and
-``strictly_one_side``, each check their defining property directly, with
-clarity over speed.  The sidedness oracle is built on ``strictly_one_side``,
-the hull oracle on ``is_strict``; ``is_quasi_strict`` checks the property
-that the generator keeps at every step.  Each predicate checks its input
-at entry.  Each oracle checks its input first in ``integer_scaled``, which
-reads it once, so any iterable will do.  The sidedness oracle then runs
-the body of ``strictly_one_side`` without a check per edge.  The hull
-oracle checks the scaled points twice more: in ``convex_hull``, called from
-``matches_hull_order``, and, when the order matches, in ``is_strict``.
-Those checks stay, so that each helper is safe to call on its own: each is
-an O(n) type scan in C beside an O(n^3) sweep.
+Three definition-level predicates check their defining property over every
+triple or edge.  ``is_quasi_strict`` and ``strictly_one_side`` take each
+determinant exactly, with clarity over speed.  ``is_strict`` hands its
+triples to ``geometry._any_collinear``, the sweep that the generator's
+check of each candidate vertex shares: it takes a determinant exactly only
+where its residue modulo a prime is 0, so the O(n^3) check does not slow
+with the bits of the coordinates.  The sidedness oracle is built on
+``strictly_one_side``, the hull oracle on ``is_strict``;
+``is_quasi_strict`` checks the property that the generator keeps at every
+step.  Each predicate checks its input at entry.  Each oracle checks its
+input first in ``integer_scaled``, which reads it once, so any iterable
+will do.  The sidedness oracle then runs the body of ``strictly_one_side``
+without a check per edge.  The hull oracle checks the scaled points twice
+more: in ``convex_hull``, called from ``matches_hull_order``, and, when the
+order matches, in ``is_strict``.  Those checks stay, so that each helper is
+safe to call on its own: each is an O(n) type scan in C beside an O(n^3)
+sweep.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .geometry import (MODULUS, Point, add_delta_evaluations, delta,
-                       integer_scaled, require_exact, residues, sign_of)
+from .geometry import (Point, _any_collinear, delta, integer_scaled,
+                       require_exact, sign_of)
 
 
 class TooFewVertices(ValueError):
@@ -45,35 +50,16 @@ class TooFewVertices(ValueError):
 def is_strict(vertices: Sequence[Point]) -> bool:
     """True iff no three vertices at distinct indices are collinear.
 
-    Exhaustive over all index triples; vacuously true for n <= 2.  A
-    triple's determinant is taken exactly only where its residue is 0
-    (``geometry.residues``), and each triple visited counts as one
-    determinant evaluated.  With every later vertex taken relative to
-    vertex i, the determinant of (i, j, k) is the cross product of j's and
-    k's, two products per triple.
+    Exhaustive over all index triples (i, j, k), i < j < k, in
+    lexicographic order, by ``geometry._any_collinear``: vertex i is the
+    pivot, with one row over every k for each j.  Vacuously true for
+    n <= 2.
     """
     require_exact(vertices)
     n = len(vertices)
-    points = residues(vertices)
-    tests = 0
-    for i in range(n - 2):
-        xi, yi = points[i]
-        rest = [(x - xi, y - yi) for x, y in points[i + 1:]]
-        for j in range(i + 1, n - 1):
-            dx, dy = rest[j - i - 1]
-            row = [(dx * y - dy * x) % MODULUS for x, y in rest[j - i:]]
-            tests += len(row)
-            if 0 not in row:
-                continue
-            for k, residue in enumerate(row, j + 1):
-                if residue == 0:
-                    # delta() counts the exact test itself.
-                    tests -= 1
-                    if delta(vertices[i], vertices[j], vertices[k]) == 0:
-                        add_delta_evaluations(tests - (n - 1 - k))
-                        return False
-    add_delta_evaluations(tests)
-    return True
+    rows = [(j, j + 1, n) for j in range(n - 1)]
+    return not _any_collinear(vertices,
+                              ((i, rows[i + 1:]) for i in range(n - 2)))
 
 
 def is_quasi_strict(vertices: Sequence[Point]) -> bool:

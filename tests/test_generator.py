@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -62,7 +63,7 @@ def test_extension_plants_its_arc_pattern_on_any_quasi_strict_input(
 # V2 is moved to the midpoint of the first attempt's point and V3, V5 or
 # V0, which puts the point on the old edge from V2 to V3, or V2 on one of
 # the two new edges: from V5 = V[k-1] to the point, or from it to V0.  Each
-# is seen by its own loop of _keeps_quasi_strict.  The vertex appended
+# is seen by its own row of _keeps_quasi_strict.  The vertex appended
 # instead depends only on V0, V1, V4 and V5, and on the scales the rejected
 # point grew; each is pinned as the arc construction first gave it.
 RETRIED_VERTEX = {
@@ -369,6 +370,14 @@ def test_the_witness_guard_refuses_a_wrong_pattern(monkeypatch, planted):
                                             for omega in omegas]))
     with pytest.raises(RuntimeError, match=r"\(2, 3\)"):
         make_minimality_witness(7, ConditionId(2, 3))
+
+
+def test_an_arc_step_that_finds_no_admissible_point_raises(monkeypatch):
+    # The budget is k*(k-1)+1 attempts: 7 at k = 3.
+    monkeypatch.setattr(generator, "_keeps_quasi_strict", lambda *_: False)
+    with pytest.raises(RuntimeError, match=re.escape(
+            "no admissible arc point within 7 attempts (k=3)")):
+        make_strictly_convex(4)
 
 
 @pytest.mark.parametrize("n, omega, i", [

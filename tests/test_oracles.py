@@ -99,15 +99,14 @@ def test_sidedness_oracle_examines_every_edge(monkeypatch):
 def test_closing_edge_cannot_be_sole_failure_small_scale():
     # exhaustive confirmation of the impossibility claim above, n=4 on {0,1,2}^2
     pts = [P(x, y) for x in range(3) for y in range(3)]
-    import polyconvex.oracles as predicates_module
     for combo in itertools.product(pts, repeat=4):
         open_edges_pass = all(
-            predicates_module.strictly_one_side(
+            oracles_module.strictly_one_side(
                 [combo[k] for k in range(4) if k not in (i, i + 1)],
                 combo[i], combo[i + 1])
             for i in range(3))
         if open_edges_pass:
-            assert predicates_module.strictly_one_side(
+            assert oracles_module.strictly_one_side(
                 [combo[1], combo[2]], combo[3], combo[0])
 
 
@@ -227,6 +226,14 @@ def with_count(sweep, *args):
 # Collinear, with an int that reducing would move by MODULUS beside a
 # Fraction: the determinant would then be off by a non-integer multiple.
 @example(points=[P(-1, 0), P(0, Fraction(1, 2)), P(1, 1)])
+# is_strict's first exact 0, (V0, V1, V3), is mid-row, after (V0, V1, V2),
+# whose determinant is MODULUS itself.
+@example(points=[P(0, 0), P(1, 0), P(2, MODULUS), P(3, 0), P(1, 5)])
+# _keeps_quasi_strict's first exact 0 is on the new edge: V1 is on the
+# line from V3 to the vertex.  Then on the closing edge: V2 is on the line
+# from the vertex to V0.
+@example(points=[P(0, 0), P(4, 1), P(3, 3), P(1, 4), P(-2, 7)])
+@example(points=[P(0, 0), P(4, 1), P(3, 3), P(1, 4), P(-1, -1)])
 @settings(deadline=None)
 @given(points=points_with_a_modulus_multiple())
 def test_the_residue_sweeps_find_exactly_the_zero_determinants(points):
