@@ -9,11 +9,13 @@ rounding error near a collinear configuration could flip it.
 
 ``_Scale`` holds the one rule, and its guard, by which every decider in the
 package, and the generator, turns a rational axis into ints:
-``integer_scaled`` applies it to a whole point list at once for the oracles;
-``fast_test`` applies it as it streams, and the generator as it grows a
-polygon one vertex at a time.  ``_any_collinear`` is the one sweep that
-asks only whether a determinant is 0, by its residue first: the hull
-oracle's triple check and the generator's test of each candidate vertex.
+``integer_scaled`` applies it to a whole point list at once for the oracles
+and the collinearity predicates; ``fast_test`` applies it as it streams,
+and the generator as it grows a polygon one vertex at a time.
+``_any_collinear`` is the one sweep that asks only whether a determinant
+is 0, by its residue first: ``is_strict``'s triple check, which the hull
+oracle runs, ``is_quasi_strict``'s edge check and the generator's test of
+each candidate vertex.
 """
 
 from __future__ import annotations
@@ -71,10 +73,11 @@ def require_exact(vertices) -> set:
 
     Subclasses of either pass, bool among them; any other type is refused.
     Returns the set of coordinate types.  ``integer_scaled``, and through it
-    each oracle, calls this on its whole input, as do the hull helpers and
-    the definition-level predicates; the linear deciders check coordinates
-    as they read them, calling this on any that is neither an int nor a
-    Fraction, and on the points left after a fail-fast stop.
+    each oracle and collinearity predicate, calls this on its whole input,
+    as do the hull helpers and ``strictly_one_side``; the linear deciders
+    check coordinates as they read them, calling this on any that is
+    neither an int nor a Fraction, and on the points left after a
+    fail-fast stop.
     Floats would decide signs with rounded arithmetic, and so would Decimal,
     which rounds each product to its context precision; numpy integers wrap
     at 64 bits.  Convert such values exactly with int() or
@@ -186,8 +189,12 @@ def _any_collinear(points: Sequence, pivots: Iterable) -> bool:
     beside a Fraction would not keep that congruence; the determinant is
     then the exact one, and an exact 0 is 0 modulo MODULUS too.  The sweep
     stops at the first exact 0, and each test visited counts as one
-    determinant evaluated.  The points are not checked: ``is_strict``
-    checks its input, and the generator passes its integer copy.
+    determinant evaluated.  The points are not checked; each of the three
+    callers passes ints where it can.  ``oracles.is_strict`` (all triples)
+    and ``oracles.is_quasi_strict`` (each edge against every other vertex)
+    pass their input read through ``integer_scaled``, which checks it, and
+    ``generator._keeps_quasi_strict`` (one candidate vertex) passes the
+    build's integer copy.
     """
     global _delta_evaluations
     reduced = points

@@ -9,35 +9,36 @@ agreement is meaningful evidence rather than an echo.  Like the linear-time
 deciders, both oracles, the hull helpers and the predicates below raise
 TypeError on a coordinate that is not an exact rational.
 
-Both oracles then decide in integers, on the input's
-``geometry.integer_scaled`` points.  That code, shared with the linear
+Both oracles, and the two collinearity predicates ``is_strict`` and
+``is_quasi_strict``, decide in integers, on the input's
+``geometry.integer_scaled`` points, which also checks the input and reads
+it once, so any iterable will do.  That code, shared with the linear
 deciders, only picks each axis's factor: any factor > 0 keeps every sign,
 order and equality, and every point is scaled by the same settled one, so a
 fault there cannot make an oracle agree with a wrong scan.  The window
 update that could corrupt a scan is in ``fast_test._scan`` alone.
 
-Three definition-level predicates check their defining property over every
-triple or edge.  ``is_quasi_strict`` and ``strictly_one_side`` take each
-determinant exactly, with clarity over speed.  ``is_strict`` hands its
-triples to ``geometry._any_collinear``, the sweep that the generator's
-check of each candidate vertex shares: it takes a determinant exactly only
-where its residue modulo a prime is 0, so the O(n^3) check does not slow
-with the bits of the coordinates.  The sidedness oracle is built on
-``strictly_one_side``, the hull oracle on ``is_strict``;
-``is_quasi_strict`` checks the property that the generator keeps at every
-step.  Each predicate checks its input at entry.  Each oracle checks its
-input first in ``integer_scaled``, which reads it once, so any iterable
-will do.  The sidedness oracle then runs the body of ``strictly_one_side``
-without a check per edge.  The hull oracle checks the scaled points twice
-more: in ``convex_hull``, called from ``matches_hull_order``, and, when the
-order matches, in ``is_strict``.  Those checks stay, so that each helper is
-safe to call on its own: each is an O(n) type scan in C beside an O(n^3)
-sweep.
+The two collinearity predicates hand their tests to
+``geometry._any_collinear``, the sweep that the generator's check of each
+candidate vertex shares: on ints it takes a determinant exactly only where
+its residue modulo a prime is 0, so neither the O(n^3) triple check nor the
+O(n^2) edge check slows with the bits of the coordinates.  The hull oracle
+is built on ``is_strict``; ``is_quasi_strict`` checks the property that the
+generator keeps at every step.  Three things stay exact, each for its own
+reason.  ``strictly_one_side`` takes one row of determinants against one
+segment, where scaling the points first would not pay; the sidedness
+oracle runs its body, without a check per edge, on points already scaled.
+``convex_hull`` returns the input's own points.
+``fast_test.condition_value`` is the raw reference for one condition.
+Each helper checks its input at entry, so that it is safe to call on its
+own: the hull oracle's points are checked again in ``convex_hull`` and,
+when the order matches, in ``is_strict``, each an O(n) type scan in C
+beside an O(n^3) sweep.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .geometry import (Point, _any_collinear, delta, integer_scaled,
                        require_exact, sign_of)
@@ -47,7 +48,7 @@ class TooFewVertices(ValueError):
     """The operation needs more vertices than the polygon has."""
 
 
-def is_strict(vertices: Sequence[Point]) -> bool:
+def is_strict(vertices: Iterable[Point]) -> bool:
     """True iff no three vertices at distinct indices are collinear.
 
     Exhaustive over all index triples (i, j, k), i < j < k, in
@@ -55,31 +56,27 @@ def is_strict(vertices: Sequence[Point]) -> bool:
     pivot, with one row over every k for each j.  Vacuously true for
     n <= 2.
     """
-    require_exact(vertices)
+    vertices = integer_scaled(vertices)
     n = len(vertices)
     rows = [(j, j + 1, n) for j in range(n - 1)]
     return not _any_collinear(vertices,
                               ((i, rows[i + 1:]) for i in range(n - 2)))
 
 
-def is_quasi_strict(vertices: Sequence[Point]) -> bool:
+def is_quasi_strict(vertices: Iterable[Point]) -> bool:
     """True iff no edge's endpoints are collinear with any third vertex.
 
     Edges include the closing one (index n-1 wraps to 0); for n <= 2 there is
-    no third vertex, so the check passes vacuously.
+    no third vertex, so the check passes vacuously.  By
+    ``geometry._any_collinear``, edge by edge with its start as the pivot:
+    edge i has the rows (i+1, 0, i) and (i+1, i+2, n), the closing edge the
+    row (0, 1, n-1), so the third vertices come in index order.
     """
-    require_exact(vertices)
+    vertices = integer_scaled(vertices)
     n = len(vertices)
-    for i in range(n):
-        nxt = (i + 1) % n
-        a = vertices[i]
-        b = vertices[nxt]
-        for j in range(n):
-            if j == i or j == nxt:
-                continue
-            if delta(a, b, vertices[j]) == 0:
-                return False
-    return True
+    edges = [(i, [(i + 1, 0, i), (i + 1, i + 2, n)]) for i in range(n - 1)]
+    return n < 3 or not _any_collinear(vertices,
+                                       edges + [(n - 1, [(0, 1, n - 1)])])
 
 
 def strictly_one_side(targets: Iterable[Point], seg_start: Point,
@@ -124,7 +121,7 @@ def strictly_convex_oracle(vertices: Iterable[Point]) -> bool:
     return True
 
 
-def convex_hull(points: Sequence[Point]) -> list[Point]:
+def convex_hull(points: Iterable[Point]) -> list[Point]:
     """Corners of the convex hull in counterclockwise boundary order, starting
     at the lexicographically smallest point.
 
@@ -148,24 +145,25 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
     return lower[:-1] + upper[:-1]
 
 
-def matches_hull_order(vertices: Sequence[Point]) -> bool:
+def matches_hull_order(vertices: Iterable[Point]) -> bool:
     """Is the vertex sequence exactly the hull-corner cycle, up to rotation
     and reversal?
 
     False whenever some vertex repeats or is not a hull corner (the lengths
     differ), or the order disagrees.  Orientation does not matter.  The hull
     starts at its smallest corner, so the sequence is rotated to start there
-    and compared with the hull walked both ways.
+    and compared with the hull walked both ways.  The input is read once,
+    so any iterable will do.
     """
+    vertices = list(vertices)
     n = len(vertices)
     if n < 3:
         raise TooFewVertices(f"hull order check needs n >= 3, got {n}")
     hull = convex_hull(vertices)
     if len(hull) != n:
         return False
-    seq = list(vertices)
-    k = seq.index(hull[0])
-    seq = seq[k:] + seq[:k]
+    k = vertices.index(hull[0])
+    seq = vertices[k:] + vertices[:k]
     return seq == hull or seq[:0:-1] == hull[1:]
 
 

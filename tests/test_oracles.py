@@ -6,13 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polyconvex.oracles as oracles_module
-from polyconvex import generator
+from polyconvex import generator, geometry
 from polyconvex.fast_test import ConditionId
 from polyconvex.generator import make_strictly_convex
 from polyconvex.geometry import MODULUS, Point, delta, delta_evaluations
 from polyconvex.oracles import (TooFewVertices, convex_hull, hull_oracle,
-                                is_strict, matches_hull_order,
-                                strictly_convex_oracle)
+                                is_quasi_strict, is_strict,
+                                matches_hull_order, strictly_convex_oracle)
 
 P = Point
 SQUARE = (P(0, 0), P(1, 0), P(1, 1), P(0, 1))
@@ -116,8 +116,11 @@ def test_convex_hull_square_with_interior_points():
 
 
 def test_convex_hull_reads_a_one_shot_iterable_once():
+    # So do the hull order check and the collinearity predicates.
     pts = [P(0, 0), P(3, 0), P(3, 3), P(0, 3), P(1, 1), P(2, 1)]
-    assert convex_hull(iter(pts)) == convex_hull(pts)
+    for read in (convex_hull, matches_hull_order, is_strict, is_quasi_strict):
+        for points in (pts, SQUARE):
+            assert read(iter(points)) == read(points)
 
 
 def test_convex_hull_skips_edge_midpoints():
@@ -176,13 +179,22 @@ def test_generator_and_oracles_take_their_determinants_on_ints(monkeypatch):
         results.append(type(value))
         return value
 
-    monkeypatch.setattr(generator, "delta", recording)
-    monkeypatch.setattr(oracles_module, "delta", recording)
+    # geometry.delta is the one that _any_collinear calls for its exact
+    # determinants.
+    for module in (generator, oracles_module, geometry):
+        monkeypatch.setattr(module, "delta", recording)
     witness = generator.make_minimality_witness(12, ConditionId(2, 7))
     assert any(type(v) is Fraction for p in witness for v in p)
     assert not strictly_convex_oracle(witness)
     assert not hull_oracle(witness)
-    assert results and set(results) == {int}
+    assert is_strict(witness) and is_quasi_strict(witness)
+    # V0, V1 and V2 are collinear, so each sweep takes an exact determinant.
+    collinear = (P(0, 0), P(Fraction(1, 2), Fraction(1, 3)),
+                 P(1, Fraction(2, 3)), P(0, 1))
+    before = len(results)
+    assert not is_strict(collinear) and not is_quasi_strict(collinear)
+    assert len(results) > before
+    assert set(results) == {int}
 
 
 long_ints = st.integers(-(1 << 4000), 1 << 4000)
@@ -234,11 +246,20 @@ def with_count(sweep, *args):
 # from the vertex to V0.
 @example(points=[P(0, 0), P(4, 1), P(3, 3), P(1, 4), P(-2, 7)])
 @example(points=[P(0, 0), P(4, 1), P(3, 3), P(1, 4), P(-1, -1)])
+# is_quasi_strict's first exact 0 is on the closing edge: V2 is on the line
+# from V4 to V0.  Then mid-row: (V1, V2, V4), after (V1, V2, V3), whose
+# determinant is MODULUS itself.
+@example(points=[P(0, 0), P(4, 1), P(3, 3), P(1, 4), P(-2, -2)])
+@example(points=[P(0, 5), P(0, 0), P(1, 0), P(2, MODULUS), P(3, 0)])
 @settings(deadline=None)
 @given(points=points_with_a_modulus_multiple())
 def test_the_residue_sweeps_find_exactly_the_zero_determinants(points):
     assert with_count(is_strict, points) == exact_sweep(
         list(itertools.combinations(points, 3)))
+    n = len(points)
+    assert with_count(is_quasi_strict, points) == exact_sweep(
+        [(points[i], points[(i + 1) % n], points[j])
+         for i in range(n) for j in range(n) if j not in (i, (i + 1) % n)])
     *polygon, vertex = points
     k = len(polygon)
     tests = [*((polygon[i], polygon[i + 1], vertex) for i in range(k - 1)),
