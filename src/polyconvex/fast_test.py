@@ -33,6 +33,16 @@ multiplies two signs equal to s.  A step counts as three determinant
 evaluations in ``geometry.delta_evaluations()``, so a full scan counts
 exactly 3(n-3)+3.
 
+The scan decides in runs.  On a strictly convex polygon every step after
+step 2 is one run of signs equal to s, and such a step changes nothing
+but the table.  When s = a_2 < 0, step 2 mirrors y in the window (each
+later vertex is translated as y0 - y), so that a step in the run has three
+positive determinants: it compares each determinant's two products and goes
+on, with no difference, no sign and no append.  Any other step takes the
+full path, its signs mapped back through the mirror.  The sign table is
+filled by runs: each list is extended by s once per step of the run when
+the next full step or the end of the scan closes it.
+
 Rational input is scanned in integers, under the scaling rule and guard of
 ``geometry._Scale``, one per axis.  The scales grow as the scan goes, so the
 polygon is read once and no copy of it is made: when an axis's scale grows
@@ -219,9 +229,23 @@ def _scan(head: list, following, explain: bool, collect_signs: bool):
     delta_evaluations() counter once on exit.  Once a vertex with a
     non-int coordinate is read, every vertex goes through one _Scale per
     axis, and the window (V0, u, p, c, e) is multiplied by each factor they
-    return.  Returns (i, breaks, table) for the last step i taken, with the
-    first break of a, b and c as an (omega, i) tuple, or None for each
-    family that holds.
+    return.
+
+    The scan decides in runs.  Step 2 sets s = a_2; if s < 0 it mirrors y in
+    the window, and each later vertex is translated as y0 - qy, so that a
+    step whose three signs equal s has three positive determinants.  Such a
+    hot step compares each determinant's two products, e.g. ex*fy > ey*fx,
+    and goes on: it takes no difference, builds no sign and appends nothing.
+    A run starts after a step whose three signs are s != 0 and lasts while
+    the comparisons hold.  Every other step, step 2 among them, takes the
+    slow path: it computes the three signs, mapped back by the orientation
+    o (-1 once mirrored, else 1), and records the breaks.  The sign table
+    is filled by runs: a slow step or the end of the scan first extends
+    each list by o = s once for every hot step since the last slow one.
+
+    Returns (i, breaks, table) for the last step i taken, with the first
+    break of a, b and c as an (omega, i) tuple, or None for each family
+    that holds.
     """
     scaled = any(type(v) is not int for point in head for v in point)
     sx, sy = _Scale(), _Scale()
@@ -238,6 +262,8 @@ def _scan(head: list, following, explain: bool, collect_signs: bool):
     # s is a_2 from step 2 on; None before it, and None again once a
     # fail-fast scan must stop at the next step.
     s = break_a = break_b = break_c = step_a = None
+    o = 1
+    hot = False
     for i, (qx, qy) in enumerate(following, 2):
         if scaled or type(qx) is not int or type(qy) is not int:
             scaled = True
@@ -248,6 +274,7 @@ def _scan(head: list, following, explain: bool, collect_signs: bool):
                 px *= g
                 cx *= g
                 ex *= g
+            # Negation commutes with g, so a mirrored y half scales alike.
             qy, g = sy.scale(qy)
             if g != 1:
                 y0 *= g
@@ -256,15 +283,21 @@ def _scan(head: list, following, explain: bool, collect_signs: bool):
                 cy *= g
                 ey *= g
         qx -= x0
-        qy -= y0
+        qy = qy - y0 if o > 0 else y0 - qy
         fx, fy = qx - cx, qy - cy
+        if (hot and ex * fy > ey * fx and px * cy > py * cx
+                and ux * cy > uy * cx):
+            px, py, cx, cy, ex, ey = cx, cy, qx, qy, fx, fy
+            continue
         a = ex * fy - ey * fx
         b = px * cy - py * cx
         c = ux * cy - uy * cx
-        a_i = 1 if a > 0 else -1 if a < 0 else 0
-        b_i = 1 if b > 0 else -1 if b < 0 else 0
-        c_i = 1 if c > 0 else -1 if c < 0 else 0
+        a_i = o if a > 0 else -o if a < 0 else 0
+        b_i = o if b > 0 else -o if b < 0 else 0
+        c_i = o if c > 0 else -o if c < 0 else 0
         if table is not None:
+            if hot and len(table.b) < i - 2:
+                _flush(table, o, i - 2)
             table.a.append(a_i)
             table.b.append(b_i)
             table.c.append(c_i)
@@ -273,6 +306,10 @@ def _scan(head: list, following, explain: bool, collect_signs: bool):
                 if i > 2:
                     break
                 s = a_i
+                if s < 0:
+                    # Mirror y: every later sign equal to s is then positive.
+                    o = -1
+                    uy, cy, qy, fy = -uy, -cy, -qy, -fy
             if break_a is None and (a_i != s or not s):
                 # a_{i-1} = s: (C1 i) = a_i*b_i or (C2 i-1) = s*b_i fails.
                 break_a = (1, i) if not a_i or b_i == s else (2, i - 1)
@@ -288,12 +325,26 @@ def _scan(head: list, following, explain: bool, collect_signs: bool):
                     break
                 if break_a or break_b:
                     s = None
+        # A run starts after a step whose three signs are s = o.
+        hot = a_i == b_i == c_i == s == o
         px, py, cx, cy, ex, ey = cx, cy, qx, qy, fx, fy
-    else:  # a_{n-1} wraps around to V0 and enters no condition.
+    else:
+        # a_{n-1} wraps around to V0 and enters no condition.
         if step_a == i:
             break_a = None
+        # A scan that stops does so at a slow step, which flushed the run.
+        if table is not None and len(table.b) < i - 1:
+            _flush(table, o, i - 1)
     add_delta_evaluations(3 * (i - 1))
     return i, (break_a, break_b, break_c), table
+
+
+def _flush(table: SignTable, sign: int, steps: int) -> None:
+    """Extend each list of ``table`` by ``sign`` up to ``steps`` entries:
+    one for each hot step of the run that ends here."""
+    run = steps - len(table.b)
+    for signs in table:
+        signs.extend(itertools.repeat(sign, run))
 
 
 def _drain(points) -> int:

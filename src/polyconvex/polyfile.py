@@ -30,15 +30,19 @@ digits, with an optional "-" on the integer, p or a), one space between
 them, and every line ending in "\n".  It is told by its skeleton: one
 translate deletes the token bytes, and what is left must be one space and
 one "\n" per line, with two tokens per line.  Its tokens are checked as
-they are read: int() refuses a bad integer ("-", "1-2"), each distinct
-rational token shape (its digits zeroed) is matched once, and a token of
-more than MAX_DIGITS characters is refused under any int-string limit.  A
-token the shortcut of ``parse_scalar`` would leave to Fraction (a zero
-denominator, more than MAX_DIGITS characters, digits past a lowered
-int-string limit) sends its block back to the per-line reader.  Every other
-block ("\r\n" or "\r" line ends, tabs, runs of spaces, comments) is
-decoded and read line by line by the same code as ``parse_polygon``, so
-values, messages and line numbers never depend on the blocks.  Errors come
+they are read.  An integer block is one JSON read: each space and line end
+becomes a comma, and ``json.loads`` reads the block as one array.  JSON
+refuses an empty token, a bad integer ("-", "1-2") and a leading zero
+("007"), and its int parse obeys the int-string limit; under no limit, or
+one past MAX_DIGITS, a value of more than MAX_DIGITS digits is refused.  In
+a rational block each distinct token shape (its digits zeroed) is matched
+once, and int() reads the digits; a token the shortcut of ``parse_scalar``
+would leave to Fraction (a zero denominator, more than MAX_DIGITS
+characters, digits past a lowered int-string limit) is refused.  A refused
+block goes back to the per-line reader.  Every other block ("\r\n" or "\r"
+line ends, tabs, runs of spaces, comments) is decoded and read line by line
+by the same code as ``parse_polygon``, so values, messages and line numbers
+never depend on the blocks.  Errors come
 in file order: a bad line ahead of a non-UTF-8 byte is reported first.
 ``parse_polygon`` and ``read_polygon_file`` give the vertices as a tuple of
 Points.
@@ -58,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import operator
 import re
 import sys
@@ -195,6 +200,9 @@ _BYTE_ORDER_MARK = "\ufeff".encode()
 _INTEGER_BYTES = b"0123456789-"
 _RATIONAL_BYTES = b"0123456789-./"
 
+# Maps the space and the line end of a canonical line to JSON's comma.
+_COMMAS = bytes.maketrans(b" \n", b",,")
+
 # Maps every digit to "0": a token's shape.
 _ZERO_DIGITS = bytes.maketrans(b"0123456789", b"0" * 10)
 
@@ -242,10 +250,12 @@ class _Denominators(dict):
 
 def _plain_ratios(block: bytes) -> Optional[_Ratios]:
     """The values of a canonical block as ratio columns, read in C: the
-    same values parse_scalar gives.  None for any other block, and for one
-    holding a token the shortcut of parse_scalar leaves to Fraction: a zero
-    denominator, more than MAX_DIGITS characters, or digits past a lowered
-    int-string limit."""
+    same values parse_scalar gives.  None for any other block; for an
+    integer block JSON refuses or one holding a value of more than
+    MAX_DIGITS digits; and for a rational block holding a token the
+    shortcut of parse_scalar leaves to Fraction: a zero denominator, more
+    than MAX_DIGITS characters, or digits past a lowered int-string
+    limit."""
     rational = b"/" in block or b"." in block
     # A block as format_polygon writes it, two tokens with one space between
     # and every line ending in "\n", the last line's end optional, leaves
@@ -257,22 +267,31 @@ def _plain_ratios(block: bytes) -> Optional[_Ratios]:
     if not (lines.startswith(skeleton) and (
             len(skeleton) % 2 == 1 or block.endswith(b"\n"))):
         return None
-    # The integer tokens, or the shapes of the rational ones.
-    tokens = (block.translate(_ZERO_DIGITS) if rational else block).split()
+    if not rational:
+        # One JSON array, each space and line end a comma.  JSON refuses an
+        # empty token, so it reads two values per line, and refuses "-",
+        # "1-2", "--5", a leading zero ("007") and, as int() does, digits
+        # past the int-string limit: each such block goes to the per-line
+        # reader, which gives the same values.
+        try:
+            values = json.loads(b"[" + block.removesuffix(b"\n").translate(
+                _COMMAS) + b"]")
+        except ValueError:
+            return None
+        # Under no int-string limit, or one past MAX_DIGITS, JSON reads any
+        # run of digits; the per-line reader refuses more than MAX_DIGITS.
+        # With no leading zero, a value's digits are its token's.
+        if (not 0 < sys.get_int_max_str_digits() <= MAX_DIGITS
+                and max(max(values), -min(values)) >= _TOO_MANY_DIGITS):
+            return None
+        return _Ratios(values, None)
+    # The shapes of the tokens.
+    tokens = block.translate(_ZERO_DIGITS).split()
     # One space per line leaves room for at most two tokens, so two per line
     # proves that every line holds two; fewer is no canonical block either.
     if len(tokens) != len(lines):
         return None
     try:
-        if not rational:
-            # parse_scalar's shortcut leaves a token of more than MAX_DIGITS
-            # characters to Fraction; int() itself refuses such a run of
-            # digits only under an int-string limit of at most MAX_DIGITS.
-            if (not 0 < sys.get_int_max_str_digits() <= MAX_DIGITS
-                    and max(map(len, tokens), default=0) > MAX_DIGITS):
-                return None
-            # int() refuses "-", "1-2" and "--5".
-            return _Ratios(list(map(int, tokens)), None)
         # Each token's numerator ("a.b" read as ab), with a p/q token's q
         # right after its p.
         ints = map(int, block.replace(b".", b"").replace(b"/", b" ").split())

@@ -702,3 +702,119 @@ def test_scaling_guard_refuses_after_a_few_coprime_denominators(monkeypatch):
     # No gcd step follows but the one that makes the 1/d factor.
     assert len(denominators) <= refused[0] + 1
     assert scaled[-1] == (poly[-1].x, 1)
+
+
+# Long runs: on a convex polygon every step after step 2 is one run of
+# s = a_2, which the kernel decides by comparing products, with y mirrored
+# when s = -1, and enters in the sign table by runs.
+
+DISPLACEMENTS = {
+    # V[k] onto the chord of its neighbours: a_k = 0.
+    "midpoint": lambda prev2, prev, cur, nxt: (
+        Fraction(prev[0] + nxt[0], 2), Fraction(prev[1] + nxt[1], 2)),
+    # V[k] onto the line of the edge before it.
+    "extend": lambda prev2, prev, cur, nxt: (
+        2 * prev[0] - prev2[0], 2 * prev[1] - prev2[1]),
+    # V[k] reflected across the chord of its neighbours: a reflex vertex.
+    "across": lambda prev2, prev, cur, nxt: (
+        prev[0] + nxt[0] - cur[0], prev[1] + nxt[1] - cur[1]),
+}
+
+
+def long_run_polygon(n, clockwise=False, kind="int", displaced=None,
+                     offset=(0, 0)):
+    """A parabola n-gon (2x, 2x^2 + 1), translated by ``offset``, the x
+    ascending, or descending if ``clockwise``.  kind "int" takes x = t;
+    "fraction" takes x = t + 1/m for every vertex, and "late" for all but
+    V0 .. V3, so that the first denominators are read after step 2, with
+    the m cycling through SHARED_DENOMINATORS.  ``displaced`` is a pair
+    (name, k): vertex k of the ascending polygon moved as
+    DISPLACEMENTS[name] says, before the polygon is reversed."""
+    dens = itertools.cycle(SHARED_DENOMINATORS)
+    xs = [t if kind == "int" or (kind == "late" and
+                                 (n - 1 - t if clockwise else t) < 4)
+          else t + Fraction(1, next(dens)) for t in range(n)]
+    poly = [(2 * x + offset[0], 2 * x * x + 1 + offset[1]) for x in xs]
+    if displaced is not None:
+        name, k = displaced
+        poly[k] = DISPLACEMENTS[name](poly[k - 2], poly[k - 1], poly[k],
+                                      poly[(k + 1) % n])
+    if clockwise:
+        poly.reverse()
+    return tuple(P(_exact(Fraction(x)), _exact(Fraction(y)))
+                 for x, y in poly)
+
+
+def assert_chain_matches_reference(poly):
+    """The chain decider's report, table and determinant count, with and
+    without the table, are those of a second pass over the reference's
+    full table."""
+    full = reference_scan(poly, explain=True)
+    failed = chain_first_break(full.signs)
+    expected = ConvexityReport(failed is None, len(poly), failed, full.signs)
+    for vertices in (poly, iter(poly)):
+        assert counted(is_strictly_convex_chain, vertices) == (
+            expected, 3 * (len(poly) - 3) + 3), poly
+    assert is_strictly_convex_chain(iter(poly), collect_signs=False) == \
+        ConvexityReport(failed is None, len(poly), failed)
+
+
+def assert_long_run_parity(poly):
+    assert_kernel_matches_reference(poly)
+    assert_chain_matches_reference(poly)
+    # Every denominator here fits under the scaling guard, so the kernel,
+    # the orientation of step 2 included, works on ints alone.
+    for explain, collect_signs in SCAN_MODES:
+        with fraction_arithmetic() as arithmetic:
+            is_strictly_convex(poly, explain=explain,
+                               collect_signs=collect_signs)
+            is_strictly_convex_chain(poly, collect_signs=collect_signs)
+        assert not arithmetic, (explain, collect_signs)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "late"])
+@pytest.mark.parametrize("clockwise", [False, True], ids=["ccw", "cw"])
+@pytest.mark.parametrize("displaced", [None] + [
+    (name, k) for name in DISPLACEMENTS for k in (2, 3, 30, 58, 59)],
+    ids=lambda d: "convex" if d is None else f"{d[0]}-{d[1]}")
+def test_kernel_matches_reference_on_long_runs(kind, clockwise, displaced):
+    head = {type(v) for point in long_run_polygon(60, clockwise, kind)[:4]
+            for v in point}
+    assert (Fraction in head) == (kind == "fraction"), head
+    poly = long_run_polygon(60, clockwise, kind, displaced, offset=(-41, -7))
+    if displaced is None:
+        report = is_strictly_convex(poly, explain=True)
+        assert report.verdict
+        assert report.signs == ([-1 if clockwise else 1] * 57,
+                                [-1 if clockwise else 1] * 58,
+                                [-1 if clockwise else 1] * 58)
+    assert_long_run_parity(poly)
+
+
+def test_a2_zero_start_is_scanned_as_the_reference_scans_it():
+    # V1, V2 and V3 on one line: s = a_2 = 0, so no step may be hot.
+    for clockwise in (False, True):
+        poly = list(long_run_polygon(80, clockwise))
+        poly[2] = P(*DISPLACEMENTS["midpoint"](None, *poly[1:4]))
+        poly = tuple(poly)
+        assert is_strictly_convex(poly, explain=True).signs.a[0] == 0
+        assert_long_run_parity(poly)
+
+
+@given(n=st.integers(50, 300), clockwise=st.booleans(),
+       kind=st.sampled_from(["int", "fraction", "late"]),
+       displacement=st.none() | st.tuples(
+           st.sampled_from(sorted(DISPLACEMENTS)),
+           st.sampled_from(["2", "3", "mid", "n-2", "n-1"])),
+       offset=st.tuples(st.integers(-10**6, 10**6),
+                        st.integers(-10**6, 10**6)))
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_reference_on_long_parabolas(n, clockwise, kind,
+                                                    displacement, offset):
+    displaced = None
+    if displacement is not None:
+        name, where = displacement
+        k = {"2": 2, "3": 3, "mid": n // 2, "n-2": n - 2, "n-1": n - 1}[where]
+        displaced = (name, k)
+    assert_long_run_parity(
+        long_run_polygon(n, clockwise, kind, displaced, offset))

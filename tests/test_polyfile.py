@@ -784,8 +784,10 @@ def parabola_text(n, eol="\n"):
     (parabola_text(10 ** 4).replace(" ", "  "), True),
     (parabola_text(10 ** 4, "\r\n"), True),
     (parabola_text(10 ** 4, "\r"), True),
+    # JSON, which reads canonical integer blocks, refuses a leading zero.
+    ("007 -0\n00 5\n" + parabola_text(10 ** 4), True),
 ], ids=["integer", "p/q", "decimal", "tab-separated", "two-spaces",
-        "integer-crlf", "integer-cr"])
+        "integer-crlf", "integer-cr", "integer-leading-zeros"])
 def test_only_a_non_canonical_block_takes_the_per_line_reader(
         tmp_path, monkeypatch, text, per_line):
     path = tmp_path / "polygon.txt"
@@ -808,6 +810,32 @@ def test_only_a_non_canonical_block_takes_the_per_line_reader(
         assert len(calls) >= 1
     else:
         assert calls == []
+
+
+@pytest.mark.parametrize("line", ["- 5", "1-2 5", "3 --5", " 5", "5 "],
+                         ids=["minus", "inner-minus", "double-minus",
+                              "empty-x", "empty-y"])
+@pytest.mark.parametrize("limit", [None, 0], ids=["default-limit", "no-limit"])
+def test_a_bad_integer_in_a_canonical_block_is_reported_as_parse_polygon_does(
+        tmp_path, line, limit):
+    # Each line keeps the block's skeleton canonical, one space and one
+    # "\n"; the JSON read refuses it and the per-line reader names it.
+    lines = parabola_text(10 ** 4).splitlines(keepends=True)
+    lines[9000] = line + "\n"
+    text = "".join(lines)
+    path = tmp_path / "polygon.txt"
+    path.write_text(text)
+    before = sys.get_int_max_str_digits()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        expected = polygon_outcome(parse_polygon, text)
+        for read in (read_polygon_file, iter_scaled_polygon):
+            assert polygon_outcome(lambda _: tuple(read(path)),
+                                   text) == expected
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert expected[:1] == ("error",) and expected[2] == 9001
 
 
 @pytest.mark.parametrize("read", [read_polygon_file, iter_scaled_polygon])
