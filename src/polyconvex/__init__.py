@@ -17,10 +17,10 @@ from .fast_test import (ConditionId, ConvexityReport, InvalidConditionId,
 from .generator import (DEFAULT_SEED_TRIANGLE, make_minimality_witness,
                         make_strictly_convex, parabola_polygon,
                         random_polygon)
-from .geometry import Point, Scalar, delta, delta_evaluations, sign_of
+from .geometry import Point, Scalar, delta, delta_evaluations
 from .oracles import (TooFewVertices, convex_hull, hull_oracle,
                       is_quasi_strict, is_strict, matches_hull_order,
-                      strictly_convex_oracle, strictly_one_side)
+                      strictly_convex_oracle)
 from .polyfile import (PolygonParseError, format_polygon, parse_polygon,
                        read_polygon_file, write_polygon_file)
 
@@ -34,6 +34,6 @@ __all__ = [
     "is_quasi_strict", "is_strict", "is_strictly_convex",
     "is_strictly_convex_chain", "make_minimality_witness",
     "make_strictly_convex", "matches_hull_order", "parabola_polygon",
-    "parse_polygon", "random_polygon", "read_polygon_file", "sign_of",
-    "strictly_convex_oracle", "strictly_one_side", "write_polygon_file",
+    "parse_polygon", "random_polygon", "read_polygon_file",
+    "strictly_convex_oracle", "write_polygon_file",
 ]

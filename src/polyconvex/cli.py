@@ -181,8 +181,10 @@ def _cmd_generate(args) -> int:
               f"polygons have coordinates of more than {MAX_DIGITS} digits",
               file=sys.stderr)
         return 2
-    if args.mode == "witness" and (args.omega is None or args.index is None):
-        print("error: witness mode needs --omega and --i", file=sys.stderr)
+    witness = args.mode == "witness"
+    if (args.omega is not None, args.index is not None) != (witness, witness):
+        print("error: --omega and --i go together, and only with --mode "
+              "witness", file=sys.stderr)
         return 2
     try:
         if args.mode == "convex":

@@ -74,10 +74,9 @@ def require_exact(vertices) -> set:
     Subclasses of either pass, bool among them; any other type is refused.
     Returns the set of coordinate types.  ``integer_scaled``, and through it
     each oracle and collinearity predicate, calls this on its whole input,
-    as do the hull helpers and ``strictly_one_side``; the linear deciders
-    check coordinates as they read them, calling this on any that is
-    neither an int nor a Fraction, and on the points left after a
-    fail-fast stop.
+    as do the hull helpers; the linear deciders check coordinates as they
+    read them, calling this on any that is neither an int nor a Fraction,
+    and on the points left after a fail-fast stop.
     Floats would decide signs with rounded arithmetic, and so would Decimal,
     which rounds each product to its context precision; numpy integers wrap
     at 64 bits.  Convert such values exactly with int() or
@@ -220,13 +219,4 @@ def _any_collinear(points: Sequence, pivots: Iterable) -> bool:
                     return True
     _delta_evaluations += tests
     return False
-
-
-def sign_of(value: Scalar) -> int:
-    """Exact sign of a rational: -1, 0 or +1.  No tolerance exists or is needed."""
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
 

@@ -24,12 +24,11 @@ candidate vertex shares: on ints it takes a determinant exactly only where
 its residue modulo a prime is 0, so neither the O(n^3) triple check nor the
 O(n^2) edge check slows with the bits of the coordinates.  The hull oracle
 is built on ``is_strict``; ``is_quasi_strict`` checks the property that the
-generator keeps at every step.  Three things stay exact, each for its own
-reason.  ``strictly_one_side`` takes one row of determinants against one
-segment, where scaling the points first would not pay; the sidedness
-oracle runs its body, without a check per edge, on points already scaled.
-``convex_hull`` returns the input's own points.
-``fast_test.condition_value`` is the raw reference for one condition.
+generator keeps at every step.  The sidedness oracle takes one row of
+cross products per edge, in one comprehension, on the scaled points.  Two
+things stay exact, each for its own reason: ``convex_hull`` returns the
+input's own points, and ``fast_test.condition_value`` is the raw reference
+for one condition.
 Each helper checks its input at entry, so that it is safe to call on its
 own: the hull oracle's points are checked again in ``convex_hull`` and,
 when the order matches, in ``is_strict``, each an O(n) type scan in C
@@ -40,8 +39,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .geometry import (Point, _any_collinear, delta, integer_scaled,
-                       require_exact, sign_of)
+from .geometry import (Point, _any_collinear, add_delta_evaluations, delta,
+                       integer_scaled, require_exact)
 
 
 class TooFewVertices(ValueError):
@@ -79,44 +78,25 @@ def is_quasi_strict(vertices: Iterable[Point]) -> bool:
                                        edges + [(n - 1, [(0, 1, n - 1)])])
 
 
-def strictly_one_side(targets: Iterable[Point], seg_start: Point,
-                      seg_end: Point) -> bool:
-    """Do all targets lie strictly on one common side of the segment's line?
-
-    True iff the segment is non-degenerate and every orientation determinant
-    delta(t, seg_start, seg_end) carries one shared nonzero sign; an empty
-    target list holds vacuously.  The targets are read once, so any
-    iterable will do.
-    """
-    targets = list(targets)
-    require_exact([seg_start, seg_end, *targets])
-    return _one_side(targets, seg_start, seg_end)
-
-
-def _one_side(targets, seg_start, seg_end) -> bool:
-    """strictly_one_side on checked points."""
-    if seg_start == seg_end:
-        return False
-    shared = 0
-    for t in targets:
-        s = sign_of(delta(t, seg_start, seg_end))
-        if s == 0 or (shared != 0 and s != shared):
-            return False
-        shared = s
-    return True
-
-
 def strictly_convex_oracle(vertices: Iterable[Point]) -> bool:
     """All n edges, closing edge included, have every other vertex strictly
-    to one side.  O(n^2)."""
+    to one side.  O(n^2).
+
+    Edge i, from V[i] to V[i+1], takes one row of cross products with the
+    n-2 vertices after it in cyclic order, and holds iff the row is all
+    positive or all negative; a degenerate edge makes the row all 0.  Each
+    row counts as n-2 determinants evaluated."""
     vertices = integer_scaled(vertices)
     n = len(vertices)
     if n < 3:
         raise TooFewVertices(f"oracle needs n >= 3, got {n}")
+    cycle = vertices + vertices
     for i in range(n):
-        j = (i + 1) % n
-        targets = [vertices[k] for k in range(n) if k != i and k != j]
-        if not _one_side(targets, vertices[i], vertices[j]):
+        (xs, ys), (xe, ye) = cycle[i], cycle[i + 1]
+        dx, dy = xe - xs, ye - ys
+        row = [dx * (y - ys) - dy * (x - xs) for x, y in cycle[i + 2:i + n]]
+        add_delta_evaluations(n - 2)
+        if not (min(row) > 0 or max(row) < 0):
             return False
     return True
 

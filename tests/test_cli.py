@@ -216,6 +216,9 @@ def test_generate_witness_file_is_exact(tmp_path, capsys):
     ["generate", "--mode", "witness", "--n", "6", "--omega", "5", "--i", "2",
      "--out", "x.txt"],
     ["generate", "--mode", "convex", "--n", "2", "--out", "x.txt"],
+    # --omega and --i name a witness; convex mode would ignore them.
+    ["generate", "--mode", "convex", "--n", "5", "--omega", "2", "--i", "3",
+     "--out", "x.txt"],
 ])
 def test_generate_usage_errors_exit_2(argv, tmp_path, capsys):
     argv = [a if a != "x.txt" else str(tmp_path / "x.txt") for a in argv]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fraction_arithmetic, sign
 from polyconvex import fast_test
 from polyconvex.fast_test import (ConditionId, ConvexityReport,
                                   InvalidConditionId, SignTable,
@@ -20,10 +21,10 @@ from polyconvex.fast_test import (ConditionId, ConvexityReport,
 from polyconvex.generator import (make_strictly_convex, parabola_polygon,
                                   random_polygon)
 from polyconvex.geometry import (Point, delta, delta_evaluations,
-                                 integer_scaled, sign_of)
+                                 integer_scaled)
 from polyconvex.oracles import (convex_hull, hull_oracle, is_quasi_strict,
                                 is_strict, matches_hull_order,
-                                strictly_convex_oracle, strictly_one_side)
+                                strictly_convex_oracle)
 
 P = Point
 SQUARE = (P(0, 0), P(1, 0), P(1, 1), P(0, 1))
@@ -301,11 +302,9 @@ def test_float_coordinates_are_rejected():
     assert condition_value(exact, ConditionId(1, 2)) > 0
     assert matches_hull_order(exact) and len(convex_hull(exact)) == 4
     assert is_strict(exact) and is_quasi_strict(exact)
-    assert strictly_one_side(exact[2:], exact[0], exact[1])
     for decide in (is_strictly_convex, is_strictly_convex_chain,
                    strictly_convex_oracle, hull_oracle, convex_hull,
                    matches_hull_order, is_strict, is_quasi_strict,
-                   lambda v: strictly_one_side(v[2:], v[0], v[1]),
                    lambda v: condition_value(v, ConditionId(1, 2))):
         with pytest.raises(TypeError, match="float"):
             decide(FLOAT_QUAD)
@@ -354,16 +353,16 @@ def test_only_int_and_fraction_coordinates_are_exact():
 
 def reference_scan(vertices, explain=False, collect_signs=True):
     """The scan as first written, for n >= 4: three delta() calls and three
-    sign_of() calls per step, with the wrap-around taken by % n."""
+    signs per step, with the wrap-around taken by % n."""
     n = len(vertices)
     table = SignTable([], [], []) if collect_signs else None
     v0, v1 = vertices[0], vertices[1]
     failed = None
     prev_a = prev_b = prev_c = 0
     for i in range(2, n):
-        a_i = sign_of(delta(vertices[i - 1], vertices[i], vertices[(i + 1) % n]))
-        b_i = sign_of(delta(v0, vertices[i - 1], vertices[i]))
-        c_i = sign_of(delta(v0, v1, vertices[i]))
+        a_i = sign(delta(vertices[i - 1], vertices[i], vertices[(i + 1) % n]))
+        b_i = sign(delta(v0, vertices[i - 1], vertices[i]))
+        c_i = sign(delta(v0, v1, vertices[i]))
         if table is not None:
             if i <= n - 2:
                 table.a.append(a_i)
@@ -554,22 +553,6 @@ def refusals(note=lambda: None):
 
     with mock.patch.object(fast_test._Scale, "refuse", recording):
         yield notes
-
-
-@contextlib.contextmanager
-def fraction_arithmetic():
-    """Record each Fraction sum, difference or product made in the block:
-    none once every coordinate the scan works on is a scaled int."""
-    calls = []
-    with contextlib.ExitStack() as stack:
-        for name in ("__add__", "__radd__", "__sub__", "__rsub__",
-                     "__mul__", "__rmul__"):
-            def counting(a, b, op=getattr(Fraction, name), name=name):
-                calls.append(name)
-                return op(a, b)
-
-            stack.enter_context(mock.patch.object(Fraction, name, counting))
-        yield calls
 
 
 @given(case=rational_polygons())

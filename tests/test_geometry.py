@@ -1,11 +1,11 @@
 import itertools
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyconvex.geometry import Point, delta, delta_evaluations, sign_of
+from conftest import sign
+from polyconvex.geometry import Point, delta, delta_evaluations
 from polyconvex.geometry import integer_scaled
 from polyconvex.oracles import hull_oracle, strictly_convex_oracle
 
@@ -62,18 +62,6 @@ def test_delta_affine_equivariance(a, b, c, ma, mb, mc, md, me, mf):
     assert delta(m(a), m(b), m(c)) == det * delta(a, b, c)
 
 
-@pytest.mark.parametrize("value, expected", [
-    (Fraction(-3, 7), -1),
-    (0, 0),
-    (Fraction(0, 5), 0),
-    (Fraction(5, 2), 1),
-    (-17, -1),
-    (4, 1),
-])
-def test_sign_of(value, expected):
-    assert sign_of(value) == expected
-
-
 def test_delta_counter_counts():
     before = delta_evaluations()
     delta(Point(0, 0), Point(1, 0), Point(0, 1))
@@ -96,8 +84,8 @@ def test_integer_scaled_keeps_signs_order_and_equality(pts):
     assert len(scaled) == len(pts)
     assert all(type(v) is int for p in scaled for v in p)
     for i, j, k in itertools.combinations(range(len(pts)), 3):
-        assert (sign_of(delta(scaled[i], scaled[j], scaled[k]))
-                == sign_of(delta(pts[i], pts[j], pts[k])))
+        assert (sign(delta(scaled[i], scaled[j], scaled[k]))
+                == sign(delta(pts[i], pts[j], pts[k])))
     indices = range(len(pts))
     assert (sorted(indices, key=scaled.__getitem__)
             == sorted(indices, key=pts.__getitem__))

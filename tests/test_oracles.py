@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polyconvex.oracles as oracles_module
+from conftest import fraction_arithmetic, sign
 from polyconvex import generator, geometry
 from polyconvex.fast_test import ConditionId
 from polyconvex.generator import make_strictly_convex
@@ -77,23 +78,23 @@ def test_oracle_hereditary_under_deletion():
             assert strictly_convex_oracle(poly[:i] + poly[i + 1:])
 
 
-def test_sidedness_oracle_examines_every_edge(monkeypatch):
+def test_sidedness_oracle_examines_every_edge():
     # No polygon can pass all open edges and fail only the closing one (all
     # vertices would be hull corners walked in boundary order, making the
     # closing pair hull-adjacent), so edge coverage is asserted directly:
-    # the sweep must consult all n edges, the closing one included.  It
-    # runs strictly_one_side's unchecked body once per edge.
-    seen = []
-    real = oracles_module._one_side
+    # on a convex n-gon the sweep takes a row of n-2 determinants for each
+    # of the n edges, the closing one included.  One edge skipped would
+    # show as (n-1)(n-2): 6 for the square, 342 for the 20-gon.
+    assert with_count(strictly_convex_oracle, SQUARE) == (True, 8)
+    assert with_count(strictly_convex_oracle, make_strictly_convex(20)) == \
+        (True, 360)
 
-    def recording(targets, seg_start, seg_end):
-        seen.append((seg_start, seg_end))
-        return real(targets, seg_start, seg_end)
 
-    monkeypatch.setattr(oracles_module, "_one_side", recording)
-    assert strictly_convex_oracle(SQUARE)
-    assert len(seen) == 4
-    assert seen[-1] == (SQUARE[3], SQUARE[0])
+def one_side(targets, seg_start, seg_end):
+    """Every target strictly on one common side of a non-degenerate
+    segment, by one delta() each."""
+    signs = {sign(delta(t, seg_start, seg_end)) for t in targets}
+    return seg_start != seg_end and signs in ({1}, {-1})
 
 
 def test_closing_edge_cannot_be_sole_failure_small_scale():
@@ -101,13 +102,11 @@ def test_closing_edge_cannot_be_sole_failure_small_scale():
     pts = [P(x, y) for x in range(3) for y in range(3)]
     for combo in itertools.product(pts, repeat=4):
         open_edges_pass = all(
-            oracles_module.strictly_one_side(
-                [combo[k] for k in range(4) if k not in (i, i + 1)],
-                combo[i], combo[i + 1])
+            one_side([combo[k] for k in range(4) if k not in (i, i + 1)],
+                     combo[i], combo[i + 1])
             for i in range(3))
         if open_edges_pass:
-            assert oracles_module.strictly_one_side(
-                [combo[1], combo[2]], combo[3], combo[0])
+            assert one_side([combo[1], combo[2]], combo[3], combo[0])
 
 
 def test_convex_hull_square_with_interior_points():
@@ -185,7 +184,11 @@ def test_generator_and_oracles_take_their_determinants_on_ints(monkeypatch):
         monkeypatch.setattr(module, "delta", recording)
     witness = generator.make_minimality_witness(12, ConditionId(2, 7))
     assert any(type(v) is Fraction for p in witness for v in p)
-    assert not strictly_convex_oracle(witness)
+    # The sidedness oracle calls no delta(): its rows of cross products
+    # are on ints when no Fraction is added, subtracted or multiplied.
+    with fraction_arithmetic() as arithmetic:
+        assert not strictly_convex_oracle(witness)
+    assert arithmetic == []
     assert not hull_oracle(witness)
     assert is_strict(witness) and is_quasi_strict(witness)
     # V0, V1 and V2 are collinear, so each sweep takes an exact determinant.

@@ -1,5 +1,7 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyconvex import generator
@@ -7,7 +9,7 @@ from polyconvex.fast_test import ConditionId
 from polyconvex.generator import make_minimality_witness, make_strictly_convex
 from polyconvex.geometry import Point
 from polyconvex.oracles import (is_quasi_strict, is_strict,
-                                strictly_convex_oracle, strictly_one_side)
+                                strictly_convex_oracle)
 
 P = Point
 SQUARE = (P(0, 0), P(1, 0), P(1, 1), P(0, 1))
@@ -17,7 +19,6 @@ scalars = st.one_of(
     st.fractions(min_value=-9, max_value=9, max_denominator=8),
 )
 points = st.builds(Point, scalars, scalars)
-point_lists = st.lists(points, max_size=7)
 
 
 @pytest.mark.parametrize("vertices, expected", [
@@ -50,36 +51,65 @@ def test_quasi_strict_weaker_than_strict():
     assert is_quasi_strict(poly)
 
 
-def test_strictly_one_side_both_above():
-    assert strictly_one_side([P(0, 1), P(1, 1)], P(0, 0), P(1, 0))
+@pytest.mark.parametrize("vertices", [
+    # Rows of one cross product each.
+    (P(0, 0), P(1, 0), P(0, 1)),
+    SQUARE,
+    (P(Fraction(1, 2), 0), P(3, Fraction(1, 3)), P(2, 4), P(-1, 2), P(-1, 0)),
+])
+def test_sidedness_oracle_accepts_rows_of_one_sign(vertices):
+    # Counterclockwise every row is all positive, clockwise all negative.
+    for polygon in (vertices, vertices[::-1]):
+        assert strictly_convex_oracle(polygon)
 
 
-def test_strictly_one_side_opposite_signs():
-    assert not strictly_one_side([P(0, 1), P(0, -1)], P(0, 0), P(1, 0))
+@pytest.mark.parametrize("vertices", [
+    # A dart: V2 is reflex, so the row of V1 V2 has V3 and V0 on either side.
+    (P(0, 0), P(4, 0), P(1, 1), P(0, 4)),
+    # A bow tie: the edges V0 V1 and V2 V3 cross.
+    (P(0, 0), P(2, 2), P(2, 0), P(0, 2)),
+])
+def test_sidedness_oracle_rejects_a_row_of_both_signs(vertices):
+    for polygon in (vertices, vertices[::-1]):
+        assert not strictly_convex_oracle(polygon)
 
 
-def test_strictly_one_side_collinear_target():
-    assert not strictly_one_side([P(2, 0)], P(0, 0), P(1, 0))
+@pytest.mark.parametrize("vertices", [
+    (P(0, 0), P(1, 0), P(1, 0), P(0, 1)),
+    (P(0, 0), P(1, 0), P(1, 1), P(0, 1), P(0, 0)),
+    (P(0, 0), P(1, 0), P(1, 0)),
+])
+def test_sidedness_oracle_rejects_a_degenerate_edge(vertices):
+    # A repeated consecutive vertex, the closing pair included, makes an
+    # edge of length 0, whose row of cross products is all 0.
+    for polygon in (vertices, vertices[::-1]):
+        assert not strictly_convex_oracle(polygon)
 
 
-def test_strictly_one_side_degenerate_segment():
-    assert not strictly_one_side([P(0, 1)], P(1, 1), P(1, 1))
+@pytest.mark.parametrize("vertices", [
+    # V2 is on the line of the edge V0 V1, and every other vertex strictly
+    # on one side of it.
+    (P(0, 0), P(1, 0), P(2, 0), P(2, 2), P(0, 2)),
+    # V3 is on the line of the closing edge V4 V0, and V0 on that of V3 V4.
+    (P(0, 0), P(2, 0), P(2, 2), P(0, 2), P(0, 1)),
+    (P(0, 0), P(1, 0), P(2, 0)),
+])
+def test_sidedness_oracle_rejects_a_vertex_on_an_edge_line(vertices):
+    # Both orientations: a 0 fails a row that is otherwise positive, and one
+    # that is otherwise negative.
+    for polygon in (vertices, vertices[::-1]):
+        assert not strictly_convex_oracle(polygon)
 
 
-def test_strictly_one_side_empty_targets():
-    assert strictly_one_side([], P(0, 0), P(1, 0))
-
-
-@given(targets=point_lists, start=points, end=points, ma=scalars, mb=scalars,
-       mc=scalars, md=scalars, me=scalars, mf=scalars)
+@given(vertices=st.lists(points, min_size=3, max_size=7), ma=scalars,
+       mb=scalars, mc=scalars, md=scalars, me=scalars, mf=scalars)
+@example(vertices=list(SQUARE), ma=2, mb=1, mc=0, md=1, me=-3, mf=5)
 @settings(max_examples=200)
-def test_strictly_one_side_affine_invariant(targets, start, end,
-                                            ma, mb, mc, md, me, mf):
-    if ma * md - mb * mc == 0:
-        return
+def test_sidedness_oracle_affine_invariant(vertices, ma, mb, mc, md, me, mf):
+    assume(ma * md - mb * mc != 0)
     m = lambda p: Point(ma * p.x + mb * p.y + me, mc * p.x + md * p.y + mf)
-    mapped = strictly_one_side([m(t) for t in targets], m(start), m(end))
-    assert mapped == strictly_one_side(targets, start, end)
+    mapped = strictly_convex_oracle([m(p) for p in vertices])
+    assert mapped == strictly_convex_oracle(vertices)
 
 
 def test_generated_quasi_strict_polygons_are_ordinary():
