@@ -21,7 +21,7 @@ import traceback
 from .fast_test import ConditionId, is_strictly_convex, is_strictly_convex_chain
 from .generator import make_minimality_witness, make_strictly_convex
 from .oracles import hull_oracle, strictly_convex_oracle
-from .polyfile import (MAX_DIGITS, PolygonParseError, iter_scaled_polygon,
+from .polyfile import (MAX_DIGITS, PolygonParseError, iter_polygon_blocks,
                        read_polygon_file, write_polygon_file)
 
 # Largest `generate --n`.  The coordinates of make_strictly_convex(56) and
@@ -93,13 +93,14 @@ def main(argv=None) -> int:
 
 
 def _cmd_check(args) -> int:
-    # The deciders read the file as a stream, each axis scaled to ints.  The
-    # oracles need the vertices held, and exact: under --oracle the deciders
-    # read those too, so that the cross-check does not rest on the scaling.
+    # The deciders read the file as a stream of blocks, and scale each axis
+    # of each block to ints.  The oracles need the vertices held: under
+    # --oracle the deciders read those too, so that the cross-check reads
+    # neither the block stream nor the deciders' block scaling.
     if args.oracle:
         vertices = read_polygon_file(args.file)
     else:
-        vertices = iter_scaled_polygon(args.file)
+        vertices = iter_polygon_blocks(args.file)
     # Only --explain and --json print signs; no other run collects them.
     collect_signs = args.explain or args.as_json
     if args.chain:

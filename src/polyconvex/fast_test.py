@@ -35,22 +35,36 @@ exactly 3(n-3)+3.
 
 The scan decides in runs.  On a strictly convex polygon every step after
 step 2 is one run of signs equal to s, and such a step changes nothing
-but the table.  When s = a_2 < 0, step 2 mirrors y in the window (each
-later vertex is translated as y0 - y), so that a step in the run has three
-positive determinants: it compares each determinant's two products and goes
-on, with no difference, no sign and no append.  Any other step takes the
-full path, its signs mapped back through the mirror.  The sign table is
-filled by runs: each list is extended by s once per step of the run when
-the next full step or the end of the scan closes it.
+but the table.  When s = a_2 < 0, step 2 swaps x and y, in the window and
+in every block read after it: a reflection, which negates every
+determinant, so that a step in the run has three positive determinants.
+It compares each determinant's two products and goes on, with no sign and
+no append.  Any other step takes the full path, its signs mapped back
+through the reflection.  The sign table is filled by runs: each list is
+extended by s once per step of the run when the next full step or the end
+of the scan closes it.
 
-Rational input is scanned in integers, under the scaling rule and guard of
-``geometry._Scale``, one per axis.  The scales grow as the scan goes, so the
-polygon is read once and no copy of it is made: when an axis's scale grows
-by g, that half of the window, which holds every coordinate the scan still
-needs, is multiplied by g; when the guard refuses, it is divided back into
-exact fractions and the axis is scanned unscaled, at the cost of a few gcd
-steps, not one per vertex.  An int coordinate costs only a type test while
-no Fraction has been read.
+The scan reads the polygon a block at a time, as int columns, one per
+axis, and multiplies its window by each axis's growth factor once per
+block, so the polygon is read once and no copy of it is made.  ``check``
+hands the deciders the file reader's blocks
+(``polyfile.iter_polygon_blocks``), exact ratio columns, which need no
+check; each axis of a block goes through its ``geometry._Scale``
+once, in its batch form: the scale grows over the values whose
+denominators do not divide it, each found by a search in C, and the block
+comes out as ints, or as exact Fractions on an axis the guard refuses,
+whose factor 1/d turns the window back into exact values.  Any other
+iterable of (x, y) pairs is read once, _CHUNK points at a time, and each
+chunk is checked there, at the boundary: every point must be a pair, and
+every coordinate an exact rational, an int or a Fraction
+(``geometry.require_exact``).  A float, say, raises TypeError naming the
+type of the first such coordinate: a rounded product near a collinear
+triple can flip a sign.  A chunk of ints is one block; in any other, each
+value goes through one ``_Scale.scale``, and a new block starts wherever a
+scale grows, so that the values before a growth are scanned at the
+smaller d, and a fail-fast scan scales nothing past its stop.  The
+per-vertex loop of the scan is left with no type test, no scaling and no
+orientation test.
 
 ``condition_value`` stays on raw ``delta`` products of the unscaled input,
 as a check that shares neither the kernel nor its scaling.
@@ -58,15 +72,9 @@ as a check that shares neither the kernel nor its scaling.
 Base cases: every polygon with n <= 2 is strictly convex, and a triangle is
 strictly convex iff its three vertices are not collinear.
 
-The deciders take any iterable of (x, y) pairs and read it once, so a file
-can be decided as it is parsed, as ``check`` does with
-``polyfile.iter_scaled_polygon``.  A fail-fast scan stops taking determinants one step past the first failure's index, but
-still reads the input to its end, to count n and to raise on a bad point
-past the failure.
-
-Every decider raises TypeError on a coordinate that is not an exact rational
-(a float, say): a rounded product near a collinear triple can flip a sign.
-Coordinates are checked as they are read, in a Sequence as in a stream.
+A fail-fast scan stops taking determinants one step past the first
+failure's index, but still reads the input to its end, to count n and to
+raise on a bad point past the failure.
 """
 
 from __future__ import annotations
@@ -74,11 +82,19 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .geometry import (Point, _Scale, _scale_all, add_delta_evaluations, delta,
-                       require_exact)
+from .geometry import (Point, RatioBlocks, _Scale, add_delta_evaluations,
+                       delta, require_exact)
+
+# Points taken at a time from an iterable that is not the file reader's
+# block stream.
+_CHUNK = 256
+
+_INT_KINDS = frozenset({int})
+_EXACT_KINDS = frozenset({int, Fraction})
 
 
 class ConditionId(NamedTuple):
@@ -153,13 +169,11 @@ def condition_value(vertices: Sequence[Point], cond: ConditionId):
     return delta(v0, v1, cur) * delta(v0, v1, nxt)
 
 
-def _base_case(vertices: list) -> ConvexityReport:
-    require_exact(vertices)
-    n = len(vertices)
+def _base_case(xs: list, ys: list) -> ConvexityReport:
+    n = len(xs)
     if n <= 2:
         return ConvexityReport(True, n)
-    ok = delta(vertices[0], vertices[1], vertices[2]) != 0
-    return ConvexityReport(ok, 3)
+    return ConvexityReport(delta(*zip(xs, ys)) != 0, 3)
 
 
 def is_strictly_convex(vertices: Iterable[Point], *, explain: bool = False,
@@ -194,14 +208,41 @@ def is_strictly_convex_chain(vertices: Iterable[Point], *,
 
 def _decide(vertices, explain: bool, collect_signs: bool,
             chain: bool) -> ConvexityReport:
-    points = iter(vertices)
-    head = list(itertools.islice(points, 4))
-    if len(head) <= 3:
-        return _base_case(head)
-    # V0 comes last again, unscaled, so it is scaled as the window is then.
-    following = itertools.chain(head[3:], points, head[:1])
-    steps, breaks, table = _scan(head[:3], following, explain, collect_signs)
-    n = steps + 1 + _drain(following)
+    sx, sy = _Scale(), _Scale()
+    # The vertices of each block or chunk, as it is read.
+    sizes = []
+    if type(vertices) is RatioBlocks:
+        columns = _counted(map(_ratio_columns, vertices.blocks), sizes)
+        blocks = map(_scaled, columns, itertools.repeat(sx),
+                     itertools.repeat(sy))
+    elif type(vertices) in (tuple, list) and 0 < len(vertices) <= _CHUNK:
+        # One chunk, read at once: the library's usual call, on polygons
+        # small enough to notice the set-up.
+        sizes.append(len(vertices))
+        columns = ()
+        blocks = iter(_scaled_chunk(_exact_columns(vertices), sx, sy))
+    else:
+        points = iter(vertices)
+        columns = _counted(map(_exact_columns, iter(
+            lambda: list(itertools.islice(points, _CHUNK)), [])), sizes)
+        blocks = itertools.chain.from_iterable(map(
+            _scaled_chunk, columns, itertools.repeat(sx),
+            itertools.repeat(sy)))
+    X, Y = next(blocks, ((), ()))[:2]
+    # V0 .. V3 may span blocks, each scaling the values before it.
+    while len(X) < 4:
+        block = next(blocks, None)
+        if block is None:
+            return _base_case(X, Y)
+        X = [x * block[2] for x in X] + list(block[0])
+        Y = [y * block[3] for y in Y] + list(block[1])
+    i, breaks, table = _scan(X, Y, blocks, explain, collect_signs)
+    add_delta_evaluations(3 * (i - 1))
+    # The columns left after a fail-fast stop are still read, so that a
+    # malformed or inexact point raises, and counted.
+    for _ in columns:
+        pass
+    n = sum(sizes)
     if table is not None and len(table.a) == n - 2:
         # a_{n-1} wraps around to V0 and enters no condition.
         table.a.pop()
@@ -211,13 +252,92 @@ def _decide(vertices, explain: bool, collect_signs: bool,
     return ConvexityReport(failed is None, n, failed, table)
 
 
-def _scan(head: list, following, explain: bool, collect_signs: bool):
+def _counted(columns, sizes: list):
+    """``columns``, each one's length appended to ``sizes`` as it is
+    read."""
+    for column in columns:
+        sizes.append(len(column[0]))
+        yield column
+
+
+def _exact_columns(chunk: list) -> tuple:
+    """A chunk of points as (xs, ys, ints): its x and y columns, and
+    whether every coordinate is an int.  Each point must be an (x, y) pair,
+    and each coordinate an int or a Fraction (``require_exact``)."""
+    try:
+        xs, ys = zip(*chunk, strict=True)
+    except ValueError:
+        # The points ahead of the first that is not a pair are checked
+        # first, as a scan of one point at a time would.
+        require_exact(list(itertools.takewhile(lambda p: len(p) == 2, chunk)))
+        raise ValueError("each point must be an (x, y) pair") from None
+    kinds = set(map(type, xs + ys))
+    if not kinds <= _EXACT_KINDS:
+        require_exact(list(zip(xs, ys)))
+    return xs, ys, kinds <= _INT_KINDS
+
+
+def _scaled_chunk(columns: tuple, sx: _Scale, sy: _Scale):
+    """A chunk's exact columns as blocks (X, Y, gx, gy), as ``_scaled``
+    gives a block of the reader's: a chunk of ints as one block, any other
+    as ``_scaled_values`` gives it."""
+    xs, ys, ints = columns
+    if ints:
+        return [(sx.scale_column(xs, None)[0], sy.scale_column(ys, None)[0],
+                 1, 1)]
+    return _scaled_values(xs, ys, sx, sy)
+
+
+def _scaled_values(xs, ys, sx: _Scale, sy: _Scale):
+    """Blocks (X, Y, gx, gy) of exact values scaled one ``_Scale.scale``
+    per value, as the scan reads them.  A new block starts wherever a scale
+    grows or refuses, so that each value is scaled by the d of its place
+    in the polygon: a polygon whose denominators grow along it, as the
+    generator's do, is not scanned at its last d, nor in Fractions from
+    its start when a late value is refused, and a fail-fast scan does not
+    scale the values past its stop."""
+    X = Y = None
+    for x, y in zip(xs, ys):
+        x, hx = sx.scale(x)
+        y, hy = sy.scale(y)
+        if X is None or hx != 1 or hy != 1:
+            if X is not None:
+                yield X, Y, gx, gy
+            X, Y, gx, gy = [], [], hx, hy
+        X.append(x)
+        Y.append(y)
+    yield X, Y, gx, gy
+
+
+def _ratio_columns(block) -> tuple:
+    """One of the file reader's interleaved ratio blocks as ratio columns,
+    (x_nums, x_dens, y_nums, y_dens), each dens None if the block holds
+    only ints."""
+    nums, dens = block
+    return (nums[0::2], dens and dens[0::2], nums[1::2], dens and dens[1::2])
+
+
+def _scaled(columns: tuple, sx: _Scale, sy: _Scale) -> tuple:
+    """A block's ratio columns as (X, Y, gx, gy): its x values scaled by
+    sx and its y values by sy, each after its scale has grown over the
+    block, and the factors by which the values scaled before must be
+    multiplied to stay in step."""
+    x_nums, x_dens, y_nums, y_dens = columns
+    xs, gx = sx.scale_column(x_nums, x_dens)
+    ys, gy = sy.scale_column(y_nums, y_dens)
+    return xs, ys, gx, gy
+
+
+def _scan(xs, ys, blocks, explain: bool, collect_signs: bool):
     """The scan kernel behind every decision path.
 
-    ``head`` holds V0, V1 and V2; ``following`` yields V3 .. V[n-1] and then
-    V0 again.  Step i (2 <= i <= n-1) works on coordinates translated to V0:
-    p = V[i-1], c = V[i], q = V[i+1] (V0 at the last step, i.e. the origin),
-    with u = V1 - V0 and the edges e = c - p, f = q - c.  Then
+    ``xs`` and ``ys``, the columns of the first block, hold V0 .. V3 and
+    maybe more; ``blocks`` gives the columns of the vertices after them a
+    block at a time, as (X, Y, gx, gy), where the window must be multiplied
+    by gx and gy before the block is read.  Step i
+    (2 <= i <= n-1) works on coordinates translated to V0: p = V[i-1],
+    c = V[i], q = V[i+1] (the origin at the last step, i = n-1), with
+    u = V1 - V0 and the edges e = c - p, f = q - c.  Then
 
         a_i = e x f     (= delta(V[i-1], V[i], V[i+1]))
         b_i = p x c     (= delta(V0, V[i-1], V[i]))
@@ -225,117 +345,142 @@ def _scan(head: list, following, explain: bool, collect_signs: bool):
 
     and the window slides by c -> p, q -> c, f -> e, so each coordinate
     difference is taken once.  The determinants are evaluated inline rather
-    than through geometry.delta; their count, three per step, is added to the
-    delta_evaluations() counter once on exit.  Once a vertex with a
-    non-int coordinate is read, every vertex goes through one _Scale per
-    axis, and the window (V0, u, p, c, e) is multiplied by each factor they
-    return.
+    than through geometry.delta; the caller counts them, three per step.
 
-    The scan decides in runs.  Step 2 sets s = a_2; if s < 0 it mirrors y in
-    the window, and each later vertex is translated as y0 - qy, so that a
-    step whose three signs equal s has three positive determinants.  Such a
-    hot step compares each determinant's two products, e.g. ex*fy > ey*fx,
-    and goes on: it takes no difference, builds no sign and appends nothing.
-    A run starts after a step whose three signs are s != 0 and lasts while
-    the comparisons hold.  Every other step, step 2 among them, takes the
-    slow path: it computes the three signs, mapped back by the orientation
-    o (-1 once mirrored, else 1), and records the breaks.  The sign table
-    is filled by runs: a slow step or the end of the scan first extends
-    each list by o = s once for every hot step since the last slow one.
+    The scan decides in runs.  Step 2 sets s = a_2; if s < 0 it swaps x
+    and y, in the window and in every block after, a reflection that
+    negates every determinant, so that a step whose three signs equal s
+    has three positive determinants.  Such a hot step compares each
+    determinant's two products, e.g. ex*fy > ey*fx, and goes on: it takes
+    no sign and appends nothing.  A run starts after a step whose three
+    signs are s != 0 and lasts while the comparisons hold.  Every other
+    step takes the slow path: it computes the three signs, mapped back by
+    the orientation o (-1 once swapped, else 1), and records the breaks.
+    The sign table is filled by runs: a slow step or the end of the scan
+    first extends each list by o = s once for every hot step since the
+    last slow one.
 
-    Returns (i, breaks, table) for the last step i taken, with the first
+    Returns (i, breaks, table): the last step i taken, and the first
     break of a, b and c as an (omega, i) tuple, or None for each family
     that holds.
     """
-    scaled = any(type(v) is not int for point in head for v in point)
-    sx, sy = _Scale(), _Scale()
-    if scaled:
-        head = _scale_all(head, sx, sy)
-    (x0, y0), (ux, uy), (cx, cy) = head
-    ux -= x0
-    uy -= y0
-    cx -= x0
-    cy -= y0
-    px, py = ux, uy
-    ex, ey = cx - px, cy - py
-    table = SignTable([], [], []) if collect_signs else None
-    # s is a_2 from step 2 on; None before it, and None again once a
-    # fail-fast scan must stop at the next step.
-    s = break_a = break_b = break_c = step_a = None
-    o = 1
-    hot = False
-    for i, (qx, qy) in enumerate(following, 2):
-        if scaled or type(qx) is not int or type(qy) is not int:
-            scaled = True
-            qx, g = sx.scale(qx)
-            if g != 1:
-                x0 *= g
-                ux *= g
-                px *= g
-                cx *= g
-                ex *= g
-            # Negation commutes with g, so a mirrored y half scales alike.
-            qy, g = sy.scale(qy)
-            if g != 1:
-                y0 *= g
-                uy *= g
-                py *= g
-                cy *= g
-                ey *= g
-        qx -= x0
-        qy = qy - y0 if o > 0 else y0 - qy
-        fx, fy = qx - cx, qy - cy
-        if (hot and ex * fy > ey * fx and px * cy > py * cx
-                and ux * cy > uy * cx):
+    x0, y0 = xs[0], ys[0]
+    ux, uy = xs[1] - x0, ys[1] - y0
+    cx, cy = xs[2] - x0, ys[2] - y0
+    qx, qy = xs[3] - x0, ys[3] - y0
+    ex, ey = cx - ux, cy - uy
+    fx, fy = qx - cx, qy - cy
+    # Step 2, where p = u, so that b_2 = c_2.
+    a = ex * fy - ey * fx
+    b = ux * cy - uy * cx
+    s = (a > 0) - (a < 0)
+    b_2 = (b > 0) - (b < 0)
+    table = SignTable([s], [b_2], [b_2]) if collect_signs else None
+    break_a = step_a = break_c = None
+    if not s:
+        break_a, step_a = (1, 2), 2
+    break_b = (1, 2) if b_2 != s else None
+    o = -1 if s < 0 else 1
+    # A run starts after a step whose three signs are s = o.
+    hot = b_2 == s == o
+    if not explain and (break_a or break_b):
+        # s is None once a fail-fast scan must stop at the next step.
+        s = None
+    px, py, cx, cy, ex, ey = cx, cy, qx, qy, fx, fy
+    if o < 0:
+        # Swap x and y: every later sign equal to s is then positive.
+        x0, y0, ux, uy, px, py = y0, x0, uy, ux, py, px
+        cx, cy, ex, ey = cy, cx, ey, ex
+    i = 2
+    rest = (xs[4:], ys[4:], 1, 1)
+    for block in itertools.chain([rest], blocks, [None]):
+        if block is None:
+            # The last step, at V0 again: the origin, once translated.
+            X, Y = (x0,), (y0,)
+        else:
+            X, Y, gx, gy = block if o > 0 else (block[1], block[0],
+                                                 block[3], block[2])
+            if gx != 1:
+                x0, ux, px, cx, ex = (x0 * gx, ux * gx, px * gx, cx * gx,
+                                      ex * gx)
+            if gy != 1:
+                y0, uy, py, cy, ey = (y0 * gy, uy * gy, py * gy, cy * gy,
+                                      ey * gy)
+        # Step i reads V[i+1]: the step of each vertex is told by how many
+        # of the block's are left, so the loop counts nothing.
+        end = i + len(X)
+        unread = iter(X)
+        left = unread.__length_hint__
+        steps = zip(unread, Y)
+        while True:
+            if hot:
+                # A run: each step compares its products and slides.
+                for qx, qy in steps:
+                    qx -= x0
+                    qy -= y0
+                    fx = qx - cx
+                    fy = qy - cy
+                    if (ex * fy <= ey * fx or px * cy <= py * cx
+                            or ux * cy <= uy * cx):
+                        break
+                    px = cx
+                    py = cy
+                    cx = qx
+                    cy = qy
+                    ex = fx
+                    ey = fy
+                else:
+                    break
+            else:
+                for qx, qy in steps:
+                    break
+                else:
+                    break
+                qx -= x0
+                qy -= y0
+                fx = qx - cx
+                fy = qy - cy
+            # A slow step.
+            i = end - left()
+            a = ex * fy - ey * fx
+            b = px * cy - py * cx
+            c = ux * cy - uy * cx
+            a_i = o if a > 0 else -o if a < 0 else 0
+            b_i = o if b > 0 else -o if b < 0 else 0
+            c_i = o if c > 0 else -o if c < 0 else 0
+            if table is not None:
+                if hot and len(table.b) < i - 2:
+                    _flush(table, o, i - 2)
+                table.a.append(a_i)
+                table.b.append(b_i)
+                table.c.append(c_i)
+            if a_i != s or b_i != s or c_i != s:
+                if s is None:
+                    return i, (break_a, break_b, break_c), table
+                if break_a is None and (a_i != s or not s):
+                    # a_{i-1} = s: (C1 i) = a_i*b_i or (C2 i-1) = s*b_i fails.
+                    break_a = (1, i) if not a_i or b_i == s else (2, i - 1)
+                    step_a = i
+                if break_b is None and b_i != s:
+                    break_b = (2, i - 1)
+                if break_c is None and c_i != s:
+                    break_c = (3, i - 1)
+                if not explain:
+                    # Stop one step past the failing index: now for (2, i-1)
+                    # and (3, i-1), at the next step for (1, i).
+                    if b_i != s or c_i != s:
+                        return i, (break_a, break_b, break_c), table
+                    if break_a or break_b:
+                        s = None
+            hot = a_i == b_i == c_i == s == o
             px, py, cx, cy, ex, ey = cx, cy, qx, qy, fx, fy
-            continue
-        a = ex * fy - ey * fx
-        b = px * cy - py * cx
-        c = ux * cy - uy * cx
-        a_i = o if a > 0 else -o if a < 0 else 0
-        b_i = o if b > 0 else -o if b < 0 else 0
-        c_i = o if c > 0 else -o if c < 0 else 0
-        if table is not None:
-            if hot and len(table.b) < i - 2:
-                _flush(table, o, i - 2)
-            table.a.append(a_i)
-            table.b.append(b_i)
-            table.c.append(c_i)
-        if a_i != s or b_i != s or c_i != s:
-            if s is None:
-                if i > 2:
-                    break
-                s = a_i
-                if s < 0:
-                    # Mirror y: every later sign equal to s is then positive.
-                    o = -1
-                    uy, cy, qy, fy = -uy, -cy, -qy, -fy
-            if break_a is None and (a_i != s or not s):
-                # a_{i-1} = s: (C1 i) = a_i*b_i or (C2 i-1) = s*b_i fails.
-                break_a = (1, i) if not a_i or b_i == s else (2, i - 1)
-                step_a = i
-            if break_b is None and b_i != s:
-                break_b = (2, i - 1) if i > 2 else (1, 2)
-            if break_c is None and c_i != s and i > 2:
-                break_c = (3, i - 1)
-            if not explain:
-                # Stop one step past the failing index: now for (2, i-1) and
-                # (3, i-1), at the next step for (1, i).
-                if i > 2 and (b_i != s or c_i != s):
-                    break
-                if break_a or break_b:
-                    s = None
-        # A run starts after a step whose three signs are s = o.
-        hot = a_i == b_i == c_i == s == o
-        px, py, cx, cy, ex, ey = cx, cy, qx, qy, fx, fy
-    else:
-        # a_{n-1} wraps around to V0 and enters no condition.
-        if step_a == i:
-            break_a = None
-        # A scan that stops does so at a slow step, which flushed the run.
-        if table is not None and len(table.b) < i - 1:
-            _flush(table, o, i - 1)
-    add_delta_evaluations(3 * (i - 1))
+        i = end
+    # a_{n-1} wraps around to V0 and enters no condition.
+    if step_a == i:
+        break_a = None
+    # A scan that stops does so at a slow step, which flushed the run.
+    if table is not None and len(table.b) < i - 1:
+        _flush(table, o, i - 1)
     return i, (break_a, break_b, break_c), table
 
 
@@ -345,12 +490,3 @@ def _flush(table: SignTable, sign: int, steps: int) -> None:
     run = steps - len(table.b)
     for signs in table:
         signs.extend(itertools.repeat(sign, run))
-
-
-def _drain(points) -> int:
-    """Read the points left after a fail-fast stop, so that a malformed or
-    inexact one still raises, and return how many there were."""
-    read = itertools.count()
-    # zip draws each point before its number, so ``read`` counts the points.
-    require_exact(map(itemgetter(0), zip(points, read)))
-    return next(read)

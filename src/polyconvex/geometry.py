@@ -8,10 +8,15 @@ anywhere in this package: every verdict is a pure sign decision, and a single
 rounding error near a collinear configuration could flip it.
 
 ``_Scale`` holds the one rule, and its guard, by which every decider in the
-package, and the generator, turns a rational axis into ints:
-``integer_scaled`` applies it to a whole point list at once for the oracles
-and the collinearity predicates; ``fast_test`` applies it as it streams,
-and the generator as it grows a polygon one vertex at a time.
+package, and the generator, turns a rational axis into ints.
+``integer_scaled`` applies it to a whole point list at once, for the
+oracles and the collinearity predicates; the generator applies it as it
+grows a polygon one vertex at a time, and ``fast_test`` to each chunk of
+any input other than the file reader's.  Its batch form,
+``_Scale.scale_column``, with ``_settle`` beside it, scales a column of
+ratios at once, its products in C: ``fast_test`` scales the file reader's
+``_Ratios`` blocks (``RatioBlocks``) with it, a block at a time, and
+``_settle`` finds the few values that grow d by a search in C.
 ``_any_collinear`` is the one sweep that asks only whether a determinant
 is 0, by its residue first: ``is_strict``'s triple check, which the hull
 oracle runs, ``is_quasi_strict``'s edge check and the generator's test of
@@ -22,8 +27,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -74,19 +80,22 @@ def require_exact(vertices) -> set:
     Subclasses of either pass, bool among them; any other type is refused.
     Returns the set of coordinate types.  ``integer_scaled``, and through it
     each oracle and collinearity predicate, calls this on its whole input,
-    as do the hull helpers; the linear deciders check coordinates as they
-    read them, calling this on any that is neither an int nor a Fraction,
-    and on the points left after a fail-fast stop.
+    as do the hull helpers; the linear deciders call it on each chunk of
+    points that holds a type other than int and Fraction.
     Floats would decide signs with rounded arithmetic, and so would Decimal,
     which rounds each product to its context precision; numpy integers wrap
     at 64 bits.  Convert such values exactly with int() or
-    fractions.Fraction first.  The type scan runs in C.
+    fractions.Fraction first.  The type scan runs in C; only on a refusal
+    is ``vertices``, a collection, read again, to name the type of its
+    first inexact coordinate.
     """
     kinds = set(map(type, itertools.chain.from_iterable(vertices)))
-    for kind in kinds:
-        if not issubclass(kind, (int, Fraction)):
-            raise TypeError(f"coordinates must be exact rationals (int or "
-                            f"Fraction), got {kind.__name__}")
+    if not all(issubclass(kind, (int, Fraction)) for kind in kinds):
+        first = next(kind for kind in map(
+            type, itertools.chain.from_iterable(vertices))
+            if not issubclass(kind, (int, Fraction)))
+        raise TypeError(f"coordinates must be exact rationals (int or "
+                        f"Fraction), got {first.__name__}")
     return kinds
 
 
@@ -144,6 +153,72 @@ class _Scale:
         factor = Fraction(1, self.d)
         self.d, self.bound = 1, None
         return factor
+
+    def scale_column(self, nums, dens: Optional[list]):
+        """The batch form of ``scale``: (column, g), where d has grown over
+        the values nums[k] / dens[k], in order, as ``scale`` would grow it
+        value by value, column holds each value times the new d, an int,
+        or the exact value once the guard has refused, and the values
+        scaled before must be multiplied by g.  dens None means that every
+        value is an int, which no d grows on."""
+        d = self.d
+        if dens is None:
+            return (nums if d == 1 else
+                    list(map(operator.mul, nums, itertools.repeat(d)))), 1
+        _settle(self, nums, dens)
+        if self.bound is None:
+            return list(map(_exact, nums, dens)), Fraction(1, d)
+        products = (nums if self.d == 1 else
+                    list(map(operator.mul, nums, itertools.repeat(self.d))))
+        # Every denominator divides d now.
+        return list(map(operator.floordiv, products, dens)), self.d // d
+
+
+def _settle(scale: _Scale, nums, dens) -> None:
+    """Let ``scale`` grow over the values nums[k] / dens[k], in order, as
+    ``scale.scale`` would, calling it only on those whose denominator does
+    not divide its d: each is found by a search in C, which resumes where
+    the last one stopped."""
+    numerators, denominators = iter(nums), iter(dens)
+    start = 0
+    while scale.bound is not None:
+        # n * d % q is 0 iff the reduced denominator of n/q divides d.
+        misses = map(operator.mod, map(operator.mul, numerators,
+                                       itertools.repeat(scale.d)),
+                     denominators)
+        k = next(itertools.compress(itertools.count(start), misses), None)
+        if k is None:
+            return
+        scale.scale(Fraction(nums[k], dens[k]))
+        start = k + 1
+
+
+def _exact(numerator: int, denominator: int):
+    """numerator / denominator as an int if whole, else as a Fraction."""
+    if denominator == 1:
+        return numerator
+    value = Fraction(numerator, denominator)
+    return value.numerator if value.denominator == 1 else value
+
+
+class _Ratios(NamedTuple):
+    """Exact values as ratio columns, x and y interleaved: value k is
+    nums[k] / dens[k], not reduced; dens is None when every value is an
+    int.  The form in which ``polyfile`` reads a block of a file."""
+
+    nums: list
+    dens: Optional[list]
+
+
+class RatioBlocks:
+    """A polygon as an iterator of ``_Ratios`` blocks, in vertex order: the
+    form in which ``polyfile.iter_polygon_blocks`` hands a file to the
+    linear deciders, which scale it a block at a time."""
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks):
+        self.blocks = blocks
 
 
 def integer_scaled(points: Iterable[Point]) -> list:

@@ -106,11 +106,14 @@ def convex_hull(points: Iterable[Point]) -> list[Point]:
     at the lexicographically smallest point.
 
     Andrew's monotone chain over the sorted distinct points, exact arithmetic
-    throughout.  A point on a hull edge is popped like an inner one, so only
-    corners (extreme points) are emitted; degenerate inputs (fewer than three
-    distinct points, or all collinear) come back as their sorted extremes.
+    throughout.  A point that is not a tuple, a list say, is taken as one,
+    so any iterable of pairs will do; a tuple, a Point among them, comes
+    back as it is.  A point on a hull edge is popped like an inner one, so
+    only corners (extreme points) are emitted; degenerate inputs (fewer than
+    three distinct points, or all collinear) come back as their sorted
+    extremes.
     """
-    points = list(points)
+    points = [p if isinstance(p, tuple) else tuple(p) for p in points]
     require_exact(points)
     pts = sorted(set(points))
     if len(pts) <= 2:
@@ -133,9 +136,9 @@ def matches_hull_order(vertices: Iterable[Point]) -> bool:
     differ), or the order disagrees.  Orientation does not matter.  The hull
     starts at its smallest corner, so the sequence is rotated to start there
     and compared with the hull walked both ways.  The input is read once,
-    so any iterable will do.
+    so any iterable of pairs will do.
     """
-    vertices = list(vertices)
+    vertices = [p if isinstance(p, tuple) else tuple(p) for p in vertices]
     n = len(vertices)
     if n < 3:
         raise TooFewVertices(f"hull order check needs n >= 3, got {n}")

@@ -17,7 +17,7 @@ reduced by at most one Fraction(n, d); every other token goes to Fraction's
 own parser, so what a token means and which error it raises never depend on
 the shortcut.
 
-Both file readers, ``read_polygon_file`` and ``iter_scaled_polygon``,
+Both file readers, ``read_polygon_file`` and ``iter_polygon_blocks``,
 read a file in one pass, one block at a time.  Each block is a 64 KB binary
 read, cut after its last "\n" or "\r" (a "\r\n" is never cut in two),
 behind what the read before left over, so it holds whole lines and, since
@@ -47,20 +47,17 @@ in file order: a bad line ahead of a non-UTF-8 byte is reported first.
 ``parse_polygon`` and ``read_polygon_file`` give the vertices as a tuple of
 Points.
 
-``iter_scaled_polygon`` streams the blocks to the linear deciders and
-gives each vertex as (x * Dx, y * Dy), Dx and Dy > 0, as ints built by
-C-level column maps: the first block that holds a vertex fixes each D by
-the scan's own rule and guard (``geometry._Scale``), and a value whose
-denominator does not divide D comes as an exact Fraction.  Every
-orientation determinant is multiplied by Dx * Dy, so every sign and verdict
-is kept.  ``check --oracle`` reads exact values with ``read_polygon_file``
-instead, so that a fault in the scaling cannot make the deciders and the
-oracles agree on the same wrong polygon.
+This module only parses.  ``iter_polygon_blocks`` streams the blocks to
+the linear deciders as exact ratio columns, numerators and denominators,
+a per-line block's pairs turned into columns too; the deciders scale each
+axis of each block to ints (``geometry._Scale``).  ``check --oracle``
+reads the vertices with ``read_polygon_file`` instead, so that the oracles
+and the deciders decide the same held values, and no fault in the block
+scaling can make them agree on a wrong polygon.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import operator
@@ -68,9 +65,9 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .geometry import Point, _Scale, require_exact
+from .geometry import Point, RatioBlocks, _exact, _Ratios, require_exact
 
 
 class PolygonParseError(ValueError):
@@ -210,15 +207,6 @@ _ZERO_DIGITS = bytes.maketrans(b"0123456789", b"0" * 10)
 _PLAIN_SHAPE = re.compile(rb"-?0+(?:[./]0+)?")
 
 
-class _Ratios(NamedTuple):
-    """A canonical block's values as ratio columns, x and y interleaved:
-    value k is nums[k] / dens[k], not reduced; dens is None when every
-    value is an int."""
-
-    nums: list
-    dens: Optional[list]
-
-
 class _Denominators(dict):
     """Token shape -> the iterator its denominator is taken from: ``ints``
     for "p/q", whose q follows p there, else a constant 10**k for a decimal
@@ -308,14 +296,6 @@ def _plain_ratios(block: bytes) -> Optional[_Ratios]:
     return None if 0 in dens else _Ratios(flat[0::2], dens)
 
 
-def _exact(numerator: int, denominator: int):
-    """numerator / denominator as parse_scalar gives it: an int if whole."""
-    if denominator == 1:
-        return numerator
-    value = Fraction(numerator, denominator)
-    return value.numerator if value.denominator == 1 else value
-
-
 def _blocks(file):
     """The bytes of ``file`` in blocks of whole lines: each block is a
     _BLOCK_SIZE read cut after its last line end, behind what the read
@@ -384,76 +364,25 @@ def _exact_pairs(block) -> Iterator[tuple]:
     return zip(values, values)
 
 
-def _settle(scale: _Scale, nums: list, dens: list) -> None:
-    """Let ``scale`` grow over the values nums[k] / dens[k], in order, as
-    the scan's own would, calling it only on those whose denominator does
-    not divide its d: each is found by a search in C, which resumes where
-    the last one stopped."""
-    numerators, denominators = iter(nums), iter(dens)
-    start = 0
-    while scale.bound is not None:
-        # n * d % q is 0 iff the reduced denominator of n/q divides d.
-        misses = map(operator.mod, map(operator.mul, numerators,
-                                       itertools.repeat(scale.d)),
-                     denominators)
-        k = next(itertools.compress(itertools.count(start), misses), None)
-        if k is None:
-            return
-        scale.scale(Fraction(nums[k], dens[k]))
-        start = k + 1
+def _ratios(block) -> _Ratios:
+    """A block's values as ratio columns: a per-line block's pairs are
+    drawn, and so parsed, here."""
+    if isinstance(block, _Ratios):
+        return block
+    values = list(itertools.chain.from_iterable(block))
+    if Fraction not in set(map(type, values)):
+        return _Ratios(values, None)
+    return _Ratios(list(map(operator.attrgetter("numerator"), values)),
+                   list(map(operator.attrgetter("denominator"), values)))
 
 
-def _scaled_column(d: int, nums: list, dens: Optional[list]) -> list:
-    """Each value nums[k] / dens[k] times d, dens None meaning all 1: an int
-    where its denominator divides d, else an exact Fraction."""
-    products = nums if d == 1 else list(map(operator.mul, nums,
-                                            itertools.repeat(d)))
-    if dens is None:
-        return products
-    if any(map(operator.mod, products, dens)):
-        return list(map(_exact, products, dens))
-    return list(map(operator.floordiv, products, dens))
-
-
-def _scaled_pairs(scales: list, block) -> Iterator[tuple]:
-    """A block's vertices as (x * Dx, y * Dy) pairs.  ``scales`` holds the
-    two _Scales, fixed by the first block that holds a vertex."""
-    if not isinstance(block, _Ratios):
-        values = list(itertools.chain.from_iterable(block))
-        block = _Ratios(list(map(operator.attrgetter("numerator"), values)),
-                        list(map(operator.attrgetter("denominator"), values)))
-    nums, dens = block
-    if not nums:
-        return iter(())
-    if not scales:
-        scales += _Scale(), _Scale()
-        if dens is not None:
-            _settle(scales[0], nums[0::2], dens[0::2])
-            _settle(scales[1], nums[1::2], dens[1::2])
-    dx, dy = scales[0].d, scales[1].d
-    if dens is None and dx == dy == 1:
-        values = iter(nums)
-        return zip(values, values)
-    return zip(_scaled_column(dx, nums[0::2], dens and dens[0::2]),
-               _scaled_column(dy, nums[1::2], dens and dens[1::2]))
-
-
-def iter_scaled_polygon(path) -> Iterator[tuple]:
-    """The vertices of a polygon file as (x * Dx, y * Dy) pairs, read in one
-    pass, for the linear deciders.
-
-    Dx and Dy are the common denominators that the rule and guard of
-    ``geometry._Scale``, the scan's own, fix over the x and the y values of
-    the first block that holds a vertex; an axis the guard refuses keeps
-    D = 1.  A value whose denominator divides D comes as an int, any other
-    as an exact Fraction, which the scan scales as it reads it.  Scaling
-    each axis by a positive constant keeps the sign of every orientation
-    determinant, so the deciders give on this stream the report they give
-    on the exact values of ``read_polygon_file``.  Parse errors are those of
-    ``read_polygon_file``.
+def iter_polygon_blocks(path) -> RatioBlocks:
+    """The vertices of a polygon file, read in one pass, as exact ratio
+    columns a block at a time, for the linear deciders, which scale each
+    block as a whole.  Parse errors are those of ``read_polygon_file``, and
+    come as the blocks are drawn.
     """
-    return itertools.chain.from_iterable(
-        map(functools.partial(_scaled_pairs, []), _parsed_blocks(path)))
+    return RatioBlocks(map(_ratios, _parsed_blocks(path)))
 
 
 def read_polygon_file(path) -> tuple:

@@ -8,18 +8,23 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from polyconvex import cli, polyfile
+from polyconvex import cli, geometry, polyfile
 from polyconvex.cli import main
 from polyconvex.fast_test import (ConditionId, is_strictly_convex,
                                   is_strictly_convex_chain)
 from polyconvex.generator import (make_minimality_witness,
                                   make_strictly_convex, parabola_polygon)
 from polyconvex.geometry import Point
+from polyconvex.oracles import strictly_convex_oracle
 from polyconvex.polyfile import (MAX_DIGITS, format_polygon, format_scalar,
-                                 read_polygon_file, write_polygon_file)
+                                 parse_polygon, read_polygon_file,
+                                 write_polygon_file)
 
 SQUARE_TEXT = "0 0\n1 0\n1 1\n0 1\n"
 SWAPPED_TEXT = "0 0\n1 1\n1 0\n0 1\n"
@@ -477,7 +482,7 @@ def test_unexpected_error_exits_4_with_traceback(square_file, monkeypatch,
     def broken(path):
         raise RuntimeError("broken reader")
     # The reader plain check calls.
-    monkeypatch.setattr(cli, "iter_scaled_polygon", broken)
+    monkeypatch.setattr(cli, "iter_polygon_blocks", broken)
     assert main(["check", square_file]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -672,10 +677,9 @@ RATIONAL_FILES = {
 }
 
 
-def decided(path, flags):
+def decided(polygon, flags):
     """Exit code and stdout that check should give: the deciders' report on
-    the exact values of read_polygon_file(path), printed as the CLI does."""
-    polygon = read_polygon_file(path)
+    the exact values of ``polygon``, printed as the CLI does."""
     explain, as_json = "--explain" in flags, "--json" in flags
     if "--chain" in flags:
         report = is_strictly_convex_chain(polygon,
@@ -701,7 +705,98 @@ def test_check_of_a_rational_file_prints_what_the_exact_values_give(
     path.write_bytes(RATIONAL_FILES[name].encode())
     monkeypatch.setattr(polyfile, "_BLOCK_SIZE", 128)
     assert len(RATIONAL_FILES[name]) > 4 * 128
-    expected = decided(path, flags)
+    expected = decided(read_polygon_file(path), flags)
     code = main(["check", str(path), *flags])
     assert (code, capsys.readouterr().out) == expected
     assert expected[0] == (1 if name.endswith("lifted") else 0)
+
+
+@st.composite
+def block_boundary_files(draw):
+    """(text, block size): a 4..60-gon as format_polygon writes it, and a
+    _BLOCK_SIZE of 8..256 bytes.  The vertices are ints on a grid (mostly
+    not convex), or the parabola (x, x^2), with x = t, or t + 1/3 from
+    some line on, each maybe with one vertex lifted by 1 and in either
+    orientation."""
+    n = draw(st.integers(4, 60))
+    if draw(st.booleans()):
+        polygon = draw(st.lists(st.tuples(st.integers(-4, 4),
+                                          st.integers(-4, 4)),
+                                min_size=n, max_size=n))
+    else:
+        thirds = draw(st.integers(0, 4) | st.integers(0, n) | st.just(n))
+        xs = [t + (Fraction(1, 3) if t >= thirds else 0) for t in range(n)]
+        polygon = [(x, x * x) for x in xs]
+    lifted = draw(st.none() | st.integers(0, n - 1))
+    if lifted is not None:
+        x, y = polygon[lifted]
+        polygon[lifted] = (x, y + 1)
+    if draw(st.booleans()):
+        polygon.reverse()
+    text = format_polygon([Point(Fraction(x), Fraction(y))
+                           for x, y in polygon])
+    return text, draw(st.integers(8, 256))
+
+
+def late_thirds_text(n, thirds, lifted=None):
+    """The parabola (x, x^2) clockwise, x = t for t = n-1 down to
+    ``thirds`` and t + 1/3 for the lines after, maybe with the vertex of
+    line ``lifted`` moved up by 1."""
+    xs = [t + (Fraction(1, 3) if t < thirds else 0)
+          for t in reversed(range(n))]
+    return format_polygon([Point(x, x * x + (k == lifted))
+                           for k, x in enumerate(xs)])
+
+
+@pytest.fixture(scope="module")
+def block_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("blocks") / "polygon.txt"
+
+
+@given(case=block_boundary_files())
+# V0 .. V3 over four blocks, the last two of them bringing thirds.
+@example(case=(late_thirds_text(6, 4), 8))
+# V0 .. V3 over three blocks, clockwise, the scale growing after the swap.
+@example(case=(late_thirds_text(40, 20), 8))
+@example(case=(late_thirds_text(40, 20), 64))
+# A fail-fast stop at step 4 that drains some twenty blocks.
+@example(case=(late_thirds_text(40, 20, lifted=3), 16))
+@settings(max_examples=200, deadline=None)
+def test_check_in_small_blocks_prints_what_the_exact_values_give(block_path,
+                                                                  case):
+    text, size = case
+    block_path.write_text(text)
+    polygon = parse_polygon(text)
+    # decided() runs the same kernel on one block, so a fault in the window
+    # that both paths share shows only against the oracle.
+    verdict = strictly_convex_oracle(polygon)
+    for flags in [(), ("--json",), ("--explain",), ("--chain",)]:
+        out = io.StringIO()
+        with mock.patch.object(polyfile, "_BLOCK_SIZE", size), \
+                contextlib.redirect_stdout(out):
+            code = main(["check", str(block_path), *flags])
+        assert (code, out.getvalue()) == decided(polygon, flags), flags
+        assert code == (0 if verdict else 1), flags
+
+
+def test_a_later_block_is_scaled_once_not_value_by_value(tmp_path, capsys):
+    # 6,000 int lines (t, t^2), then 2,000 of (t + 1/3, (t + 1/3)^2): one
+    # block brings thirds and ninths, and each axis's scale grows once.
+    lines = [f"{t} {t * t}\n" for t in range(6000)]
+    lines += [f"{format_scalar(x)} {format_scalar(x * x)}\n"
+              for x in (t + Fraction(1, 3) for t in range(6000, 8000))]
+    path = tmp_path / "late-thirds.txt"
+    path.write_text("".join(lines))
+    scaled = []
+    scale = geometry._Scale.scale
+
+    def recording(self, value):
+        scaled.append(value)
+        return scale(self, value)
+
+    with mock.patch.object(geometry._Scale, "scale", recording):
+        assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "strictly-convex\n"
+    # Only the values whose denominator did not divide d: the first third
+    # and the first ninth.
+    assert scaled == [Fraction(18001, 3), Fraction(18001, 3) ** 2]

@@ -324,6 +324,19 @@ def test_inexact_coordinates_are_rejected_at_every_size(vertices):
                 decide(given)
 
 
+def test_points_are_checked_in_order():
+    # A point of three values raises; a float ahead of it raises first.
+    not_a_pair = ((0, 0), (1, 0), (2, 1), (1, 1, 1), (0, 1))
+    float_ahead = ((0, 0), (1, 0), (0.5, 1), (1, 1, 1), (0, 1))
+    for decide in (is_strictly_convex, is_strictly_convex_chain):
+        for given in (not_a_pair, iter(not_a_pair)):
+            with pytest.raises(ValueError):
+                decide(given)
+        for given in (float_ahead, iter(float_ahead)):
+            with pytest.raises(TypeError, match="float"):
+                decide(given)
+
+
 class Ratio(Fraction):
     pass
 
@@ -599,7 +612,10 @@ def test_guard_refuses_mid_polygon_and_the_scan_stays_exact(poly):
             read.append(point)
             yield point
 
-    with refusals(lambda: len(read)) as refused:
+    # One point per chunk, so that the guard refuses while the scan is
+    # under way, with the window scaled.
+    with refusals(lambda: len(read)) as refused, \
+            mock.patch.object(fast_test, "_CHUNK", 1):
         report = is_strictly_convex(stream(), explain=True)
     assert len(refused) == 1 and 4 < refused[0] < len(poly), refused
     assert report == reference_scan(poly, explain=True)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import sign
 from polyconvex.geometry import Point, delta, delta_evaluations
-from polyconvex.geometry import integer_scaled
+from polyconvex.geometry import _Scale, integer_scaled
 from polyconvex.oracles import hull_oracle, strictly_convex_oracle
 
 scalars = st.one_of(
@@ -108,3 +108,38 @@ def test_integer_scaled_empty_and_single_point():
     scaled = integer_scaled([Point(Fraction(3, 4), Fraction(-5, 6))])
     assert scaled == [(3, -5)]
     assert all(type(v) is int for v in scaled[0])
+
+
+column_values = st.lists(st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=24),
+    # Pairwise-coprime denominators, which the guard refuses a few in.
+    st.builds(lambda p, k: Fraction(k, 2 ** p - 1),
+              st.sampled_from([61, 67, 71, 73, 79, 83, 89, 97]),
+              st.integers(1, 9)),
+), max_size=30).map(lambda values: [
+    value.numerator if value.denominator == 1 else value
+    for value in map(Fraction, values)])
+
+
+@given(before=column_values, values=column_values)
+@settings(max_examples=300)
+def test_scale_column_grows_as_scale_does_value_by_value(before, values):
+    one, batch = _Scale(), _Scale()
+    for value in before:
+        one.scale(value)
+        batch.scale(value)
+    d = one.d
+    for value in values:
+        one.scale(value)
+    ints = all(type(value) is int for value in values)
+    column, g = batch.scale_column(
+        [Fraction(value).numerator for value in values],
+        None if ints else [Fraction(value).denominator for value in values])
+    assert (batch.d, batch.bound) == (one.d, one.bound)
+    # Each value times the settled d, an int where it is whole.
+    assert [(type(v), v) for v in column] == [
+        (type(v), v) for v in (one.scale(value)[0] for value in values)]
+    # The factor that keeps the values scaled before in step.
+    assert g == (Fraction(one.d, d) if one.bound is not None
+                 else Fraction(1, d))

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import polyconvex.oracles as oracles_module
 from conftest import fraction_arithmetic, sign
 from polyconvex import generator, geometry
-from polyconvex.fast_test import ConditionId
+from polyconvex.fast_test import (ConditionId, is_strictly_convex,
+                                  is_strictly_convex_chain)
 from polyconvex.generator import make_strictly_convex
 from polyconvex.geometry import MODULUS, Point, delta, delta_evaluations
 from polyconvex.oracles import (TooFewVertices, convex_hull, hull_oracle,
@@ -120,6 +121,34 @@ def test_convex_hull_reads_a_one_shot_iterable_once():
     for read in (convex_hull, matches_hull_order, is_strict, is_quasi_strict):
         for points in (pts, SQUARE):
             assert read(iter(points)) == read(points)
+
+
+# Polygons whose points the tests below give as tuples, lists and Points:
+# convex, reflex, with a vertex on an edge, with a repeated vertex, and
+# with Fraction coordinates, convex or not.
+POINT_FORM_POLYGONS = [
+    SQUARE, SWAPPED_SQUARE, PENTAGON,
+    (P(0, 0), P(2, 0), P(1, 1), P(2, 2), P(0, 2)),
+    (P(0, 0), P(1, 0), P(2, 0), P(1, 1)),
+    (P(0, 0), P(1, 0), P(1, 0), P(0, 1)),
+    (P(Fraction(1, 2), 0), P(1, 0), P(1, 1), P(0, 1)),
+    (P(0, 0), P(1, Fraction(1, 3)), P(1, 1), P(Fraction(2, 3), 1),
+     P(0, 1)),
+]
+
+
+@pytest.mark.parametrize("polygon", POINT_FORM_POLYGONS)
+def test_deciders_and_hull_helpers_take_points_in_any_pair_form(polygon):
+    def results(points):
+        return (is_strictly_convex(points), is_strictly_convex_chain(points),
+                strictly_convex_oracle(points), hull_oracle(points),
+                convex_hull(points), matches_hull_order(points))
+
+    expected = results(polygon)
+    for form in (tuple, list):
+        assert results([form(point) for point in polygon]) == expected
+    # A tuple, a Point among them, comes back as it is.
+    assert all(type(point) is Point for point in convex_hull(polygon))
 
 
 def test_convex_hull_skips_edge_midpoints():

@@ -13,13 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polyconvex
-from polyconvex import geometry, polyfile
+from polyconvex import fast_test, geometry, polyfile
 from polyconvex.generator import make_minimality_witness, make_strictly_convex
 from polyconvex.fast_test import ConditionId
 from polyconvex.geometry import Point
 from polyconvex.polyfile import (MAX_DIGITS, PolygonParseError, _quoted,
                                  format_polygon, format_scalar,
-                                 iter_scaled_polygon, parse_polygon,
+                                 iter_polygon_blocks, parse_polygon,
                                  parse_scalar, read_polygon_file,
                                  write_polygon_file)
 
@@ -535,9 +535,45 @@ def test_a_crlf_cut_by_a_read_keeps_the_line_numbers(tmp_path, size):
     path.write_bytes(text.encode())
     expected = polygon_outcome(parse_polygon, text)
     assert expected == ("error", "line 7: bad coordinate 'x'", 7)
-    for read in (read_polygon_file, iter_scaled_polygon):
+    for read in (read_polygon_file, block_pairs):
         assert polygon_outcome(lambda _: read_in_blocks(path, size, read),
                                text) == expected
+
+
+def whole(value):
+    return value.numerator if value.denominator == 1 else value
+
+
+def block_pairs(path):
+    """The vertices of iter_polygon_blocks(path), read from its ratio
+    columns, as exact Points; a block with no denominators holds only
+    ints."""
+    values = []
+    for nums, dens in iter_polygon_blocks(path).blocks:
+        if dens is None:
+            assert all(type(value) is int for value in nums), nums
+            values += nums
+        else:
+            assert len(dens) == len(nums) and 0 not in dens
+            values += map(whole, map(Fraction, nums, dens))
+    assert len(values) % 2 == 0
+    return tuple(map(P, values[0::2], values[1::2]))
+
+
+def scaled_blocks(path):
+    """The vertices of iter_polygon_blocks(path) as the deciders scale them:
+    each block's ratio columns scaled by one _Scale per axis, and the
+    values before the block multiplied by its growth factors, as the scan
+    multiplies its window.  A whole value that a refusal's 1/d turned into
+    a Fraction is given as an int."""
+    sx, sy = geometry._Scale(), geometry._Scale()
+    xs, ys = [], []
+    for block in iter_polygon_blocks(path).blocks:
+        X, Y, gx, gy = fast_test._scaled(fast_test._ratio_columns(block),
+                                         sx, sy)
+        xs = [whole(Fraction(x * gx)) for x in xs] + list(X)
+        ys = [whole(Fraction(y * gy)) for y in ys] + list(Y)
+    return tuple(map(P, xs, ys))
 
 
 def scale_factors(exact, scaled):
@@ -567,18 +603,15 @@ def scale_factors(exact, scaled):
 @settings(max_examples=60)
 def test_scaled_reader_is_the_reference_times_positive_factors(
         scratch_path, size, text):
-    # Errors, messages and line numbers are read_polygon_file's.
+    # Values and errors, messages and line numbers, are the reference's.
     expected = polygon_outcome(polygon_reference, text.removeprefix("\ufeff"))
     scratch_path.write_bytes(text.encode("utf-8"))
-    scaled = polygon_outcome(
-        lambda _: read_in_blocks(scratch_path, size, iter_scaled_polygon),
-        text)
-    if expected[:1] == ("error",):
-        assert scaled == expected
-    else:
+    assert polygon_outcome(
+        lambda _: read_in_blocks(scratch_path, size, block_pairs),
+        text) == expected
+    if expected[:1] != ("error",):
         scale_factors(polygon_reference(text.removeprefix("\ufeff")),
-                      read_in_blocks(scratch_path, size,
-                                     iter_scaled_polygon))
+                      read_in_blocks(scratch_path, size, scaled_blocks))
 
 
 plain_tokens = st.one_of(
@@ -598,18 +631,20 @@ plain_texts = st.lists(st.tuples(plain_tokens, plain_tokens),
 @settings(max_examples=60)
 def test_scaled_reader_on_plain_blocks_with_new_denominators(scratch_path,
                                                             size, text):
-    # Small blocks bring in denominators the first block did not fix.
+    # Small blocks, each read in C, bring in new denominators.
     scratch_path.write_bytes(text.encode())
-    exact = parse_polygon(text)
-    scaled = read_in_blocks(scratch_path, size, iter_scaled_polygon)
-    scale_factors(exact, scaled)
-    assert polygon_outcome(lambda _: read_in_blocks(scratch_path, size),
-                           text) == polygon_outcome(parse_polygon, text)
+    expected = polygon_outcome(parse_polygon, text)
+    for read in (read_polygon_file, block_pairs):
+        assert polygon_outcome(
+            lambda _: read_in_blocks(scratch_path, size, read),
+            text) == expected
+    scale_factors(parse_polygon(text),
+                  read_in_blocks(scratch_path, size, scaled_blocks))
 
 
 def first_block_factor(values):
     """The d a fresh _Scale reaches over ``values``, in order: the rule the
-    scaled reader must follow over its first block."""
+    deciders must follow over the first block."""
     scale = geometry._Scale()
     for value in values:
         scale.scale(value)
@@ -628,24 +663,11 @@ def test_the_first_block_fixes_each_factor_by_the_scan_rule(tmp_path, xs, ys):
     path = tmp_path / "polygon.txt"
     path.write_text(text)
     exact = parse_polygon(text)
-    factors = scale_factors(exact, tuple(iter_scaled_polygon(path)))
+    factors = scale_factors(exact, scaled_blocks(path))
     assert factors == (first_block_factor(p.x for p in exact),
                        first_block_factor(p.y for p in exact))
     if xs[0] == "1/1009":
         assert factors[0] == 1
-
-
-def test_a_denominator_after_the_first_block_comes_as_an_exact_fraction(
-        tmp_path):
-    # Thirds fill the first block; the sevenths after it do not divide 3.
-    head = "".join(f"{t}/3 {t}\n" for t in range(1, 8000))
-    path = tmp_path / "polygon.txt"
-    path.write_text(head + "1/7 5\n2/21 6\n")
-    assert len(head) > polyfile._BLOCK_SIZE
-    scaled = tuple(iter_scaled_polygon(path))
-    assert scaled[0] == (1, 1) and scaled[-2:] == ((Fraction(3, 7), 5),
-                                                     (Fraction(2, 7), 6))
-    assert scale_factors(read_polygon_file(path), scaled) == (3, 1)
 
 
 @pytest.mark.parametrize("text", [
@@ -672,15 +694,9 @@ def test_a_token_the_shortcut_refuses_is_read_by_the_per_line_reader(
         sys.set_int_max_str_digits(limit)
     try:
         expected = polygon_outcome(parse_polygon, text)
-        assert polygon_outcome(lambda _: read_in_blocks(path, size),
-                               text) == expected
-        if expected[:1] == ("error",):
-            assert polygon_outcome(
-                lambda _: read_in_blocks(path, size, iter_scaled_polygon),
-                text) == expected
-        else:
-            scale_factors(parse_polygon(text),
-                          read_in_blocks(path, size, iter_scaled_polygon))
+        for read in (read_polygon_file, block_pairs):
+            assert polygon_outcome(lambda _: read_in_blocks(path, size, read),
+                                   text) == expected
     finally:
         sys.set_int_max_str_digits(before)
 
@@ -695,9 +711,8 @@ def test_plain_rational_blocks_under_a_lowered_int_string_limit(tmp_path):
     sys.set_int_max_str_digits(640)
     try:
         expected = polygon_outcome(parse_polygon, text)
-        for read in (read_polygon_file, iter_scaled_polygon):
-            assert polygon_outcome(lambda _: tuple(read(path)), text) == \
-                expected
+        for read in (read_polygon_file, block_pairs):
+            assert polygon_outcome(lambda _: read(path), text) == expected
     finally:
         sys.set_int_max_str_digits(limit)
     assert expected[0] == "error" and expected[2] == 2
@@ -750,15 +765,10 @@ def test_near_canonical_blocks_read_as_the_per_line_parser_reads_them(
         scratch_path, size, text):
     expected = polygon_outcome(parse_polygon, text)
     scratch_path.write_bytes(text.encode())
-    assert polygon_outcome(lambda _: read_in_blocks(scratch_path, size),
-                           text) == expected
-    if expected[:1] == ("error",):
+    for read in (read_polygon_file, block_pairs):
         assert polygon_outcome(
-            lambda _: read_in_blocks(scratch_path, size, iter_scaled_polygon),
+            lambda _: read_in_blocks(scratch_path, size, read),
             text) == expected
-    else:
-        scale_factors(parse_polygon(text),
-                      read_in_blocks(scratch_path, size, iter_scaled_polygon))
 
 
 @pytest.mark.parametrize("block", [b"1 \n3", b"1 2\n3 \n4", b"1 \n3 4\n"])
@@ -805,7 +815,8 @@ def test_only_a_non_canonical_block_takes_the_per_line_reader(
 
     monkeypatch.setattr(polyfile, "_parse_lines", counting_parse_lines)
     assert read_polygon_file(path) == exact
-    scale_factors(exact, tuple(iter_scaled_polygon(path)))
+    assert polygon_outcome(lambda _: block_pairs(path), text) == \
+        polygon_outcome(lambda _: exact, text)
     if per_line:
         assert len(calls) >= 1
     else:
@@ -830,15 +841,14 @@ def test_a_bad_integer_in_a_canonical_block_is_reported_as_parse_polygon_does(
         sys.set_int_max_str_digits(limit)
     try:
         expected = polygon_outcome(parse_polygon, text)
-        for read in (read_polygon_file, iter_scaled_polygon):
-            assert polygon_outcome(lambda _: tuple(read(path)),
-                                   text) == expected
+        for read in (read_polygon_file, block_pairs):
+            assert polygon_outcome(lambda _: read(path), text) == expected
     finally:
         sys.set_int_max_str_digits(before)
     assert expected[:1] == ("error",) and expected[2] == 9001
 
 
-@pytest.mark.parametrize("read", [read_polygon_file, iter_scaled_polygon])
+@pytest.mark.parametrize("read", [read_polygon_file, block_pairs])
 def test_digit_cap_holds_in_a_canonical_block_with_no_int_string_limit(
         tmp_path, read):
     # The long token sits past the first 64 KB block.
@@ -867,7 +877,7 @@ def test_a_crlf_integer_file_reads_as_its_lf_twin(tmp_path, limit):
     if limit is not None:
         sys.set_int_max_str_digits(limit)
     try:
-        for read in (read_polygon_file, iter_scaled_polygon):
-            assert tuple(read(crlf)) == tuple(read(lf))
+        for read in (read_polygon_file, block_pairs):
+            assert polygon_outcome(read, crlf) == polygon_outcome(read, lf)
     finally:
         sys.set_int_max_str_digits(before)
