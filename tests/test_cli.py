@@ -6,7 +6,9 @@ import os
 import subprocess
 import sys
 import time
+import tomllib
 from fractions import Fraction
+from importlib.metadata import EntryPoint
 from pathlib import Path
 from unittest import mock
 
@@ -21,13 +23,46 @@ from polyconvex.fast_test import (ConditionId, is_strictly_convex,
 from polyconvex.generator import (make_minimality_witness,
                                   make_strictly_convex, parabola_polygon)
 from polyconvex.geometry import Point
-from polyconvex.oracles import strictly_convex_oracle
+from polyconvex.oracles import (is_quasi_strict, is_strict,
+                                strictly_convex_oracle)
 from polyconvex.polyfile import (MAX_DIGITS, format_polygon, format_scalar,
                                  parse_polygon, read_polygon_file,
                                  write_polygon_file)
 
 SQUARE_TEXT = "0 0\n1 0\n1 1\n0 1\n"
 SWAPPED_TEXT = "0 0\n1 1\n1 0\n0 1\n"
+# 5,500 canonical lines, some 71 KB: more than the first 64 KB block.
+LONG_TEXT = "".join(f"{t} {t * t}\n" for t in range(5500))
+
+
+def child_env(**variables):
+    """The environment of a CLI child that runs this package."""
+    src = str(Path(cli.__file__).parent.parent)
+    return dict(os.environ, PYTHONPATH=src, **variables)
+
+
+def checked(argv):
+    """(exit code, stdout) of ``main(argv)``."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def refused(argv, env=None):
+    """Assert that the CLI refuses ``argv``: exit 2, no stdout, and one
+    stderr line, "error: ...", so no traceback; return it.  With ``env``,
+    the CLI is ``python -m polyconvex`` in a child."""
+    if env is None:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code, out = checked(argv)
+        err = err.getvalue()
+    else:
+        done = subprocess.run([sys.executable, "-m", "polyconvex", *argv],
+                              env=env, capture_output=True, text=True)
+        code, out, err = done.returncode, done.stdout, done.stderr
+    assert (code, out, err[:7], err.count("\n"), err[-1:]) == (
+        2, "", "error: ", 1, "\n"), err
+    return err
 
 
 @pytest.fixture
@@ -49,60 +84,53 @@ def test_check_accepts_square(square_file, capsys):
     assert capsys.readouterr().out.strip() == "strictly-convex"
 
 
-def test_check_rejects_swapped_square(swapped_file, capsys):
-    assert main(["check", swapped_file]) == 1
-    out = capsys.readouterr().out
-    assert out.startswith("not-strictly-convex: C2 at i=2")
+def test_check_rejects_swapped_square(swapped_file):
+    code, out = checked(["check", swapped_file])
+    assert code == 1 and out.startswith("not-strictly-convex: C2 at i=2")
 
 
-def test_check_malformed_line_exits_2(tmp_path, capsys):
+def test_check_malformed_line_exits_2(tmp_path):
+    # The last file's bad line is past the first block.
     path = tmp_path / "bad.txt"
-    path.write_text("0 0\n1 x\n")
-    assert main(["check", str(path)]) == 2
-    assert "line 2" in capsys.readouterr().err
+    for text, line in (("0 0\n1 x\n", 2), ("0 0\n1 zz\n", 2),
+                       (LONG_TEXT + "1.2.3 4\n", 5501)):
+        path.write_text(text)
+        assert refused(["check", str(path)]).startswith(
+            f"error: line {line}: bad coordinate")
 
 
-def test_check_non_utf8_file_exits_2(tmp_path, capsys):
+def test_check_non_utf8_file_exits_2(tmp_path):
     path = tmp_path / "binary.txt"
-    path.write_bytes(b"\xff\xfe 0 0\n")
-    assert main(["check", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "line 1: not UTF-8 text" in captured.err
+    for data, line in ((b"\xff\xfe 0 0\n", 1), (b"0 0\n1 \xff\n", 2)):
+        path.write_bytes(data)
+        assert f"line {line}: not UTF-8 text" in refused(["check", str(path)])
 
 
-def test_check_accepts_a_byte_order_mark(tmp_path, capsys):
+def test_check_accepts_a_byte_order_mark(tmp_path):
     path = tmp_path / "bom.txt"
     path.write_bytes(b"\xef\xbb\xbf" + SQUARE_TEXT.encode())
-    assert main(["check", str(path)]) == 0
-    assert capsys.readouterr().out == "strictly-convex\n"
+    assert checked(["check", str(path)]) == (0, "strictly-convex\n")
 
 
 @pytest.mark.parametrize("token", ["1e4301", "1E-1000000", "1.5e+4301"])
-def test_check_huge_exponent_exits_2(token, tmp_path, capsys):
+def test_check_huge_exponent_exits_2(token, tmp_path):
     path = tmp_path / "huge.txt"
     path.write_text(f"0 0\n1 0\n{token} 1\n")
-    assert main(["check", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "line 3: exponent beyond" in captured.err
+    assert "line 3: exponent beyond" in refused(["check", str(path)])
 
 
 @pytest.mark.parametrize("flags", [(), ("--json",), ("--explain",),
                                    ("--chain",)])
-def test_check_reads_past_a_failure_to_a_malformed_last_line(flags, tmp_path,
-                                                             capsys):
+def test_check_reads_past_a_failure_to_a_malformed_last_line(flags, tmp_path):
     # C1 fails at i = 2, long before the bad line.
     path = tmp_path / "bad.txt"
     path.write_text(format_polygon(lifted_parabola(8, 2)) + "1 x\n")
-    assert main(["check", str(path), *flags]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "line 9: bad coordinate 'x'" in captured.err
+    err = refused(["check", str(path), *flags])
+    assert "line 9: bad coordinate 'x'" in err
 
 
-def test_check_missing_file_exits_2(tmp_path, capsys):
-    assert main(["check", str(tmp_path / "nope.txt")]) == 2
+def test_check_missing_file_exits_2(tmp_path):
+    assert "No such file" in refused(["check", str(tmp_path / "nope.txt")])
 
 
 def test_check_explain_prints_sign_rows(square_file, capsys):
@@ -134,19 +162,25 @@ def test_check_json_schema_false_case(swapped_file, capsys):
     assert payload["failed"] == {"omega": 2, "i": 2}
 
 
-def test_check_json_small_polygon(tmp_path, capsys):
+def test_check_json_small_polygon(tmp_path):
     path = tmp_path / "segment.txt"
     path.write_text("0 0\n1 0\n")
-    assert main(["check", str(path), "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload == {"verdict": True, "n": 2, "failed": None, "signs": None}
+    code, out = checked(["check", str(path), "--json"])
+    assert (code, json.loads(out)) == (
+        0, {"verdict": True, "n": 2, "failed": None, "signs": None})
 
 
-def test_check_oracle_agreement(square_file, swapped_file, capsys):
-    assert main(["check", square_file, "--oracle"]) == 0
-    assert "agree" in capsys.readouterr().out
-    assert main(["check", swapped_file, "--oracle"]) == 1
-    assert "agree" in capsys.readouterr().out
+def test_check_oracle_agreement(tmp_path, capsys):
+    # Beside the squares, the sidedness oracle's zero cases: a repeated
+    # vertex, whose edge has a row of cross products all 0, and V3 on the
+    # line of the closing edge.
+    path = tmp_path / "polygon.txt"
+    for text, code in ((SQUARE_TEXT, 0), (SWAPPED_TEXT, 1),
+                       ("0 0\n1 0\n1 0\n0 1\n", 1),
+                       ("0 0\n2 0\n2 2\n0 2\n0 1\n", 1)):
+        path.write_text(text)
+        assert main(["check", str(path), "--oracle"]) == code
+        assert capsys.readouterr().out.endswith(" -> agree\n")
 
 
 def test_check_oracle_skipped_below_three_vertices(tmp_path, capsys):
@@ -171,10 +205,8 @@ def test_check_json_oracle_adds_the_oracle_object(square_file, tmp_path,
 
 def test_check_oracle_disagreement_exits_3(square_file, monkeypatch, capsys):
     monkeypatch.setattr(cli, "hull_oracle", lambda polygon: False)
-    assert main(["check", square_file, "--oracle"]) == 3
-    assert capsys.readouterr().out == (
-        "strictly-convex\n"
-        "oracles: sidedness=true hull=false -> DISAGREE\n")
+    assert checked(["check", square_file, "--oracle"]) == (
+        3, "strictly-convex\noracles: sidedness=true hull=false -> DISAGREE\n")
     assert main(["check", square_file, "--oracle", "--json"]) == 3
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] is True
@@ -182,36 +214,42 @@ def test_check_oracle_disagreement_exits_3(square_file, monkeypatch, capsys):
                                  "agree": False}
 
 
-def test_check_rejects_collinear_triangle_without_condition(tmp_path, capsys):
+def test_check_rejects_collinear_triangle_without_condition(tmp_path):
     path = tmp_path / "collinear.txt"
     path.write_text("0 0\n1 0\n2 0\n")
-    assert main(["check", str(path)]) == 1
-    assert capsys.readouterr().out == "not-strictly-convex\n"
+    assert checked(["check", str(path)]) == (1, "not-strictly-convex\n")
 
 
-def test_generate_convex_round_trip(tmp_path, capsys):
-    out = tmp_path / "convex8.txt"
-    assert main(["generate", "--mode", "convex", "--n", "8",
-                 "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert main(["check", str(out)]) == 0
+def generated(path, *argv):
+    """``path``, written by ``polyconvex generate ARGV --out PATH``."""
+    assert checked(["generate", *argv, "--out", str(path)])[0] == 0
+    return str(path)
 
 
-def test_generate_witness_round_trip(tmp_path, capsys):
-    out = tmp_path / "witness.txt"
-    assert main(["generate", "--mode", "witness", "--n", "6", "--omega", "2",
-                 "--i", "3", "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert main(["check", str(out)]) == 1
-    assert "C2 at i=3" in capsys.readouterr().out
+def test_generate_convex_round_trip(tmp_path):
+    for n in ("8", "50"):
+        path = generated(tmp_path / "convex.txt", "--mode", "convex", "--n", n)
+        polygon = read_polygon_file(path)
+        for flags in [(), ("--oracle",), ("--chain", "--json"),
+                      ("--explain",)]:
+            assert checked(["check", path, *flags]) == decided(polygon, flags)
+        assert decided(polygon, ()) == (0, "strictly-convex\n")
 
 
-def test_generate_witness_file_is_exact(tmp_path, capsys):
-    out = tmp_path / "witness.txt"
-    assert main(["generate", "--mode", "witness", "--n", "5", "--omega", "3",
-                 "--i", "2", "--out", str(out)]) == 0
-    from polyconvex.polyfile import read_polygon_file
-    assert read_polygon_file(out) == make_minimality_witness(5, ConditionId(3, 2))
+def test_generate_witness_round_trip(tmp_path):
+    path = generated(tmp_path / "witness.txt", "--mode", "witness", "--n", "6",
+                     "--omega", "2", "--i", "3")
+    polygon = read_polygon_file(path)
+    for flags in [(), ("--oracle",), ("--chain", "--json"), ("--explain",)]:
+        assert checked(["check", path, *flags]) == decided(polygon, flags)
+    assert decided(polygon, ()) == (1, "not-strictly-convex: C2 at i=3\n")
+
+
+def test_generate_witness_file_is_exact(tmp_path):
+    path = generated(tmp_path / "witness.txt", "--mode", "witness", "--n", "5",
+                     "--omega", "3", "--i", "2")
+    assert read_polygon_file(path) == make_minimality_witness(
+        5, ConditionId(3, 2))
 
 
 @pytest.mark.parametrize("argv", [
@@ -225,21 +263,20 @@ def test_generate_witness_file_is_exact(tmp_path, capsys):
     ["generate", "--mode", "convex", "--n", "5", "--omega", "2", "--i", "3",
      "--out", "x.txt"],
 ])
-def test_generate_usage_errors_exit_2(argv, tmp_path, capsys):
-    argv = [a if a != "x.txt" else str(tmp_path / "x.txt") for a in argv]
-    assert main(argv) == 2
+def test_generate_usage_errors_exit_2(argv, tmp_path):
+    refused([a if a != "x.txt" else str(tmp_path / "x.txt") for a in argv])
 
 
 @pytest.mark.parametrize("mode", [
     ["--mode", "convex"], ["--mode", "witness", "--omega", "1", "--i", "2"]])
 @pytest.mark.parametrize("n", [cli.MAX_GENERATE_N + 1, 10**6])
-def test_generate_beyond_the_cap_exits_2_at_once(mode, n, tmp_path, capsys):
+def test_generate_beyond_the_cap_exits_2_at_once(mode, n, tmp_path):
     out = tmp_path / "x.txt"
     start = time.perf_counter()
-    assert main(["generate", *mode, "--n", str(n), "--out", str(out)]) == 2
+    err = refused(["generate", *mode, "--n", str(n), "--out", str(out)])
     # Building the 57-gon alone takes seconds.
     assert time.perf_counter() - start < 0.5
-    assert f"--n must be <= {cli.MAX_GENERATE_N}" in capsys.readouterr().err
+    assert f"--n must be <= {cli.MAX_GENERATE_N}" in err
     assert not out.exists()
 
 
@@ -252,15 +289,24 @@ def largest_part(polygon) -> int:
 def test_the_generate_cap_is_the_last_n_a_file_can_hold(tmp_path):
     # A value has more than MAX_DIGITS digits iff it is >= 10**MAX_DIGITS;
     # comparing avoids printing numbers that long.
-    limit = 10 ** MAX_DIGITS
-    n = cli.MAX_GENERATE_N
-    assert largest_part(make_strictly_convex(n)) < limit
-    assert largest_part(make_minimality_witness(n, ConditionId(2, 30))) < limit
-    assert largest_part(make_strictly_convex(n + 1)) >= limit
-    out = tmp_path / "convex.txt"
-    assert main(["generate", "--mode", "convex", "--n", str(n),
-                 "--out", str(out)]) == 0
-    assert main(["check", str(out)]) == 0
+    limit, n = 10 ** MAX_DIGITS, str(cli.MAX_GENERATE_N)
+    assert largest_part(make_strictly_convex(cli.MAX_GENERATE_N + 1)) >= limit
+    convex = generated(tmp_path / "convex.txt", "--mode", "convex", "--n", n)
+    witness = generated(tmp_path / "witness.txt", "--mode", "witness",
+                        "--n", n, "--omega", "2", "--i", "30")
+    # Once scaled, coordinates of some 14,000 bits, which the hull oracle's
+    # all-triples check, is_strict and is_quasi_strict sweep.
+    for path, runs, code in (
+            (convex, [(), ("--oracle",), ("--oracle", "--json")], 0),
+            (witness, [("--oracle",)], 1)):
+        polygon = read_polygon_file(path)
+        assert largest_part(polygon) < limit
+        assert is_strict(polygon) and is_quasi_strict(polygon)
+        for flags in runs:
+            expected = decided(polygon, flags)
+            assert checked(["check", path, *flags]) == expected
+            assert expected[0] == code
+
 
 @pytest.mark.parametrize("text, code, out", [
     (SQUARE_TEXT, 0, "strictly-convex\n"),
@@ -270,24 +316,39 @@ def test_the_generate_cap_is_the_last_n_a_file_can_hold(tmp_path):
 def test_python_dash_m_polyconvex_runs_the_cli(tmp_path, text, code, out):
     path = tmp_path / "polygon.txt"
     path.write_text(text)
-    src = str(Path(cli.__file__).parent.parent)
-    done = subprocess.run([sys.executable, "-m", "polyconvex", "check",
-                           str(path)], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True)
-    assert (done.returncode, done.stdout) == (code, out), done.stderr
+    if code == 2:
+        refused(["check", str(path)], child_env())
+    else:
+        done = subprocess.run([sys.executable, "-m", "polyconvex", "check",
+                               str(path)], env=child_env(),
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (code, out), done.stderr
+
+
+def test_the_console_script_is_main(tmp_path, monkeypatch):
+    # The installed script calls what pyproject.toml names with no
+    # arguments, so main reads sys.argv.
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml",
+              "rb") as file:
+        value = tomllib.load(file)["project"]["scripts"]["polyconvex"]
+    assert value == "polyconvex.cli:main"
+    script = EntryPoint("polyconvex", value, "console_scripts").load()
+    path = tmp_path / "polygon.txt"
+    for text, code in ((SQUARE_TEXT, 0), (SWAPPED_TEXT, 1), ("0 0\n1 x\n", 2)):
+        path.write_text(text)
+        monkeypatch.setattr(sys, "argv", ["polyconvex", "check", str(path)])
+        assert script() == code
 
 
 def test_main_called_twice_prints_what_fresh_processes_print(swapped_file,
                                                               capsys):
     # The parser is built once per process; a run's flags must not leak
     # into the next run.
-    src = str(Path(cli.__file__).parent.parent)
     runs = [["check", swapped_file, "--explain"], ["check", swapped_file]]
     fresh = []
     for argv in runs:
         done = subprocess.run([sys.executable, "-m", "polyconvex", *argv],
-                              env=dict(os.environ, PYTHONPATH=src),
-                              capture_output=True, text=True)
+                              env=child_env(), capture_output=True, text=True)
         fresh.append((done.returncode, done.stdout, done.stderr))
     in_process = []
     for argv in runs:
@@ -307,7 +368,6 @@ def test_check_reads_a_pipe(mark):
     # A pipe cannot seek: the reader must take the file front to back.  Nor
     # can it be read twice: a second read gets no vertices, so --oracle must
     # read its file once.
-    src = str(Path(cli.__file__).parent.parent)
     oracle_json = {"verdict": True, "n": 4, "failed": None,
                    "signs": {"a": [1], "b": [1, 1], "c": [1, 1]},
                    "oracle": {"sidedness": True, "hull": True,
@@ -321,15 +381,14 @@ def test_check_reads_a_pipe(mark):
         done = subprocess.run([sys.executable, "-m", "polyconvex", "check",
                                "/dev/stdin", *flags],
                               input=mark + SQUARE_TEXT.encode(),
-                              env=dict(os.environ, PYTHONPATH=src),
-                              capture_output=True)
+                              env=child_env(), capture_output=True)
         assert (done.returncode, done.stdout) == (0, expected), done.stderr
 
 
 def buffered_stdout_env():
     """The environment of a CLI child whose stdout is buffered, as it is by
     default when stdout is a pipe."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
     return env
 
@@ -388,10 +447,9 @@ def test_a_broken_pipe_leaves_no_descriptor_open(square_file, monkeypatch):
 
 
 def run_cli_under_int_string_limit(limit, *args):
-    src = str(Path(cli.__file__).parent.parent)
-    env = dict(os.environ, PYTHONINTMAXSTRDIGITS=limit, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", "polyconvex.cli", *args],
-                          env=env, capture_output=True, text=True)
+                          env=child_env(PYTHONINTMAXSTRDIGITS=limit),
+                          capture_output=True, text=True)
 
 
 def test_file_format_ignores_a_lowered_int_string_limit(tmp_path):
@@ -414,12 +472,13 @@ def test_file_format_ignores_a_lowered_int_string_limit(tmp_path):
 def test_integer_past_the_digit_cap_exits_2_under_a_lifted_limit(tmp_path):
     # Every other line of the file is a plain integer pair, read by the block
     # reader's fast path; the cap holds there too.
-    for digits, code in ((4300, 0), (4301, 2)):
-        path = tmp_path / f"{digits}.txt"
-        path.write_text(f"0 0\n1 0\n{'1' * digits} 1\n")
-        done = run_cli_under_int_string_limit("0", "check", str(path))
-        assert done.returncode == code, done.stderr
-    assert "line 3: bad coordinate" in done.stderr
+    path = tmp_path / "polygon.txt"
+    path.write_text(f"0 0\n1 0\n{'1' * 4300} 1\n")
+    done = run_cli_under_int_string_limit("0", "check", str(path))
+    assert done.returncode == 0, done.stderr
+    path.write_text(f"0 0\n1 0\n{'1' * 4301} 1\n")
+    err = refused(["check", str(path)], child_env(PYTHONINTMAXSTRDIGITS="0"))
+    assert "line 3: bad coordinate" in err
 
 
 MEASURE_CHILD_RSS = """
@@ -430,21 +489,25 @@ print(done.returncode, done.stdout.strip(),
 """
 
 
-def test_check_streams_a_large_file_in_small_memory(tmp_path):
-    # Reading the whole file first peaked at 61 MB here; the stream holds
-    # one 64 KB block.  A process of its own runs the check, so that no
-    # other child of the test run counts toward the peak.
-    path = tmp_path / "parabola.txt"
-    path.write_text(format_polygon(parabola_polygon(2 * 10**5)))
-    src = str(Path(cli.__file__).parent.parent)
+def peak_kb_of_check(path, *flags):
+    """The peak RSS in KB of a check that accepts ``path``.  A process of
+    its own runs it, so that no other child of the test run counts."""
     done = subprocess.run(
         [sys.executable, "-c", MEASURE_CHILD_RSS, sys.executable, "-m",
-         "polyconvex", "check", str(path)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-        check=True)
+         "polyconvex", "check", str(path), *flags],
+        env=child_env(), capture_output=True, text=True, check=True)
     code, verdict, peak_kb = done.stdout.split()
     assert (code, verdict) == ("0", "strictly-convex")
-    assert int(peak_kb) <= 32 * 1024, peak_kb
+    return int(peak_kb)
+
+
+def test_check_streams_a_large_file_in_small_memory(tmp_path):
+    # Reading the whole file first peaked at 61 MB here; the stream holds
+    # one 64 KB block.
+    path = tmp_path / "parabola.txt"
+    path.write_text(format_polygon(parabola_polygon(2 * 10**5)))
+    peak_kb = peak_kb_of_check(path)
+    assert peak_kb <= 32 * 1024, peak_kb
 
 
 def test_check_chain_keeps_no_sign_table(tmp_path):
@@ -453,17 +516,7 @@ def test_check_chain_keeps_no_sign_table(tmp_path):
     # 0.1 MB without.  Each check runs in a process of its own.
     path = tmp_path / "parabola.txt"
     path.write_text(format_polygon(parabola_polygon(10**5)))
-    src = str(Path(cli.__file__).parent.parent)
-    peaks = []
-    for flags in ((), ("--chain",)):
-        done = subprocess.run(
-            [sys.executable, "-c", MEASURE_CHILD_RSS, sys.executable, "-m",
-             "polyconvex", "check", str(path), *flags],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-            text=True, check=True)
-        code, verdict, peak_kb = done.stdout.split()
-        assert (code, verdict) == ("0", "strictly-convex")
-        peaks.append(int(peak_kb))
+    peaks = [peak_kb_of_check(path, *flags) for flags in ((), ("--chain",))]
     assert peaks[1] <= peaks[0] + 1024, peaks
 
 
@@ -489,13 +542,10 @@ def test_unexpected_error_exits_4_with_traceback(square_file, monkeypatch,
     assert "Traceback" in captured.err and "broken reader" in captured.err
 
 
-def test_generate_deterministic_output(tmp_path, capsys):
-    first = tmp_path / "a.txt"
-    second = tmp_path / "b.txt"
-    for out in (first, second):
-        assert main(["generate", "--mode", "convex", "--n", "7",
-                     "--out", str(out)]) == 0
-    assert first.read_text() == second.read_text()
+def test_generate_deterministic_output(tmp_path):
+    first, second = (Path(generated(tmp_path / name, "--mode", "convex",
+                                    "--n", "7")).read_text() for name in "ab")
+    assert first == second
 
 
 def test_unknown_command_exits_2(capsys):
@@ -544,10 +594,9 @@ CHECK_OUTPUTS = {
 
 
 @pytest.mark.parametrize("fixture, flags", list(CHECK_OUTPUTS))
-def test_check_output_is_pinned(fixture, flags, request, capsys):
+def test_check_output_is_pinned(fixture, flags, request):
     path = request.getfixturevalue(fixture)
-    code = main(["check", path, *flags])
-    assert (code, capsys.readouterr().out) == CHECK_OUTPUTS[fixture, flags]
+    assert checked(["check", path, *flags]) == CHECK_OUTPUTS[fixture, flags]
 
 
 def lifted_parabola(n, k):
@@ -679,7 +728,8 @@ RATIONAL_FILES = {
 
 def decided(polygon, flags):
     """Exit code and stdout that check should give: the deciders' report on
-    the exact values of ``polygon``, printed as the CLI does."""
+    the exact values of ``polygon``, printed as the CLI does, and under
+    --oracle, both oracles agreeing with it (n >= 3)."""
     explain, as_json = "--explain" in flags, "--json" in flags
     if "--chain" in flags:
         report = is_strictly_convex_chain(polygon,
@@ -687,12 +737,19 @@ def decided(polygon, flags):
     else:
         report = is_strictly_convex(polygon, explain=explain,
                                     collect_signs=explain or as_json)
+    oracle = None
+    if "--oracle" in flags:
+        oracle = {"sidedness": report.verdict, "hull": report.verdict,
+                  "agree": True}
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         if as_json:
-            print(json.dumps(report.to_json_dict()))
+            payload = report.to_json_dict()
+            if oracle:
+                payload["oracle"] = oracle
+            print(json.dumps(payload))
         else:
-            cli._print_text_report(report, explain, None)
+            cli._print_text_report(report, explain, oracle)
     return (0 if report.verdict else 1), out.getvalue()
 
 
@@ -700,24 +757,66 @@ def decided(polygon, flags):
                                    ("--chain",), ("--chain", "--json")])
 @pytest.mark.parametrize("name", RATIONAL_FILES)
 def test_check_of_a_rational_file_prints_what_the_exact_values_give(
-        name, flags, tmp_path, monkeypatch, capsys):
+        name, flags, tmp_path, monkeypatch):
     path = tmp_path / f"{name}.txt"
     path.write_bytes(RATIONAL_FILES[name].encode())
     monkeypatch.setattr(polyfile, "_BLOCK_SIZE", 128)
     assert len(RATIONAL_FILES[name]) > 4 * 128
     expected = decided(read_polygon_file(path), flags)
-    code = main(["check", str(path), *flags])
-    assert (code, capsys.readouterr().out) == expected
+    assert checked(["check", str(path), *flags]) == expected
     assert expected[0] == (1 if name.endswith("lifted") else 0)
+
+
+def test_sevenths_after_a_first_block_of_thirds_decide_as_the_exact_values(
+        tmp_path):
+    # 210 vertices of some 460 bytes each: the first block holds only
+    # thirds, and the sevenths after it do not divide the d it fixed.
+    xs = [Fraction(10**150 + k, 3) for k in range(150)]
+    xs += [Fraction(10**150 + 200, 3) + Fraction(k, 7) for k in range(1, 61)]
+    lines = [f"{x} {x * x}\n" for x in xs]
+    assert len("".join(lines[:150])) > polyfile._BLOCK_SIZE
+    path = tmp_path / "rational.txt"
+    path.write_text("".join(lines))
+    for flags in (("--json",), ("--oracle", "--json")):
+        expected = decided(read_polygon_file(path), flags)
+        assert checked(["check", str(path), *flags]) == expected
+
+
+@pytest.mark.parametrize("twin", [
+    LONG_TEXT.replace("\n", "\r\n"), LONG_TEXT.replace(" ", "\t"),
+    LONG_TEXT.replace("\n", "\r"),
+    "".join(f"0{t} {t * t}\n" for t in range(5500))],
+    ids=["crlf", "tab", "cr", "zero"])
+def test_a_long_file_checks_as_its_lf_twin(twin, tmp_path):
+    # Read by the per-line parser: the JSON read of integer blocks refuses a
+    # leading zero.
+    path, outputs = tmp_path / "long.txt", []
+    for text in (LONG_TEXT, twin):
+        path.write_bytes(text.encode())
+        outputs.append(checked(["check", str(path), "--json"]))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
+def token(value, form):
+    """``value`` as format_scalar writes it (form 0), with a leading zero
+    (1), as a decimal (2) or with an exponent (3), if whole."""
+    text = format_scalar(value)
+    if form == 1:
+        return text.replace("-", "-0") if text[0] == "-" else "0" + text
+    if form and Fraction(value).denominator == 1:
+        return text + (".0" if form == 2 else "0e-1")
+    return text
 
 
 @st.composite
 def block_boundary_files(draw):
-    """(text, block size): a 4..60-gon as format_polygon writes it, and a
-    _BLOCK_SIZE of 8..256 bytes.  The vertices are ints on a grid (mostly
-    not convex), or the parabola (x, x^2), with x = t, or t + 1/3 from
-    some line on, each maybe with one vertex lifted by 1 and in either
-    orientation."""
+    """(text, block size): a 4..60-gon, and a _BLOCK_SIZE of 8..256 bytes.
+    The vertices are ints on a grid (mostly not convex), or the parabola
+    (x, x^2), with x = t, or t + 1/3 and t + 1/5 by turns from some line
+    on, each maybe with one vertex lifted by 1 and in either orientation.
+    The file is as format_polygon writes it, or has each value in a drawn
+    form (``token``) and each line ended by "\n", "\r\n", "\r" or a "#"
+    comment line."""
     n = draw(st.integers(4, 60))
     if draw(st.booleans()):
         polygon = draw(st.lists(st.tuples(st.integers(-4, 4),
@@ -725,7 +824,8 @@ def block_boundary_files(draw):
                                 min_size=n, max_size=n))
     else:
         thirds = draw(st.integers(0, 4) | st.integers(0, n) | st.just(n))
-        xs = [t + (Fraction(1, 3) if t >= thirds else 0) for t in range(n)]
+        xs = [t + (Fraction(1, 3 + t % 2 * 2) if t >= thirds else 0)
+              for t in range(n)]
         polygon = [(x, x * x) for x in xs]
     lifted = draw(st.none() | st.integers(0, n - 1))
     if lifted is not None:
@@ -735,6 +835,12 @@ def block_boundary_files(draw):
         polygon.reverse()
     text = format_polygon([Point(Fraction(x), Fraction(y))
                            for x, y in polygon])
+    if draw(st.booleans()):
+        forms = st.tuples(st.integers(0, 3), st.integers(0, 3),
+                          st.sampled_from(["\n", "\r\n", "\r", "\n# c\r"]))
+        lines = draw(st.lists(forms, min_size=n, max_size=n))
+        text = "".join(f"{token(x, fx)} {token(y, fy)}{end}"
+                       for (x, y), (fx, fy, end) in zip(polygon, lines))
     return text, draw(st.integers(8, 256))
 
 
@@ -746,6 +852,23 @@ def late_thirds_text(n, thirds, lifted=None):
           for t in reversed(range(n))]
     return format_polygon([Point(x, x * x + (k == lifted))
                            for k, x in enumerate(xs)])
+
+
+@pytest.mark.parametrize("n, lifted", [(5500, None), (20000, None),
+                                       (20000, 5000)])
+def test_a_clockwise_int_parabola_over_several_blocks(n, lifted, tmp_path):
+    # Step 2 swaps x and y, and the rest is one run over the blocks, with a
+    # table all -1.  The vertex of line 5000, lifted onto its neighbours'
+    # chord, fails C1 there.
+    path = tmp_path / "clockwise.txt"
+    path.write_text(late_thirds_text(n, 0, lifted))
+    out = ("not-strictly-convex: C1 at i=5000\n" if lifted else
+           "strictly-convex\n")
+    assert checked(["check", str(path)]) == (1 if lifted else 0, out)
+    if not lifted:
+        code, out = checked(["check", str(path), "--json"])
+        assert (code, json.loads(out)["signs"]) == (0, {
+            "a": [-1] * (n - 3), "b": [-1] * (n - 2), "c": [-1] * (n - 2)})
 
 
 @pytest.fixture(scope="module")
@@ -761,6 +884,9 @@ def block_path(tmp_path_factory):
 @example(case=(late_thirds_text(40, 20), 64))
 # A fail-fast stop at step 4 that drains some twenty blocks.
 @example(case=(late_thirds_text(40, 20, lifted=3), 16))
+# Thirds and fifths in one block: each axis's d grows twice over a column.
+@example(case=(format_polygon([Point(x, x * x) for x in (
+    t + Fraction(1, 3 + t % 2 * 2) for t in range(6))]), 64))
 @settings(max_examples=200, deadline=None)
 def test_check_in_small_blocks_prints_what_the_exact_values_give(block_path,
                                                                   case):
@@ -770,12 +896,11 @@ def test_check_in_small_blocks_prints_what_the_exact_values_give(block_path,
     # decided() runs the same kernel on one block, so a fault in the window
     # that both paths share shows only against the oracle.
     verdict = strictly_convex_oracle(polygon)
-    for flags in [(), ("--json",), ("--explain",), ("--chain",)]:
-        out = io.StringIO()
-        with mock.patch.object(polyfile, "_BLOCK_SIZE", size), \
-                contextlib.redirect_stdout(out):
-            code = main(["check", str(block_path), *flags])
-        assert (code, out.getvalue()) == decided(polygon, flags), flags
+    for flags in [(), ("--json",), ("--explain",), ("--chain",),
+                  ("--oracle",)]:
+        with mock.patch.object(polyfile, "_BLOCK_SIZE", size):
+            code, out = checked(["check", str(block_path), *flags])
+        assert (code, out) == decided(polygon, flags), flags
         assert code == (0 if verdict else 1), flags
 
 
@@ -800,3 +925,5 @@ def test_a_later_block_is_scaled_once_not_value_by_value(tmp_path, capsys):
     # Only the values whose denominator did not divide d: the first third
     # and the first ninth.
     assert scaled == [Fraction(18001, 3), Fraction(18001, 3) ** 2]
+    code, out = checked(["check", str(path), "--json"])
+    assert code == 0 and json.loads(out)["verdict"] is True
