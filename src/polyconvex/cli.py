@@ -21,8 +21,8 @@ import traceback
 from .fast_test import ConditionId, is_strictly_convex, is_strictly_convex_chain
 from .generator import make_minimality_witness, make_strictly_convex
 from .oracles import hull_oracle, strictly_convex_oracle
-from .polyfile import (MAX_DIGITS, PolygonParseError, iter_polygon_blocks,
-                       read_polygon_file, write_polygon_file)
+from .polyfile import (MAX_DIGITS, PolygonParseError, exact_polygon,
+                       iter_polygon_blocks, write_polygon_file)
 
 # Largest `generate --n`.  The coordinates of make_strictly_convex(56) and
 # of every witness at n = 56 have at most 4,178 digits; at n = 57 they
@@ -35,10 +35,17 @@ _ROW_SLICE = 4096
 _SIGN_TEXT = {1: "=+1", 0: "=+0", -1: "=-1"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a usage error as every other refusal: one "error:" line."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 # Built once per process: parse_args leaves the parser as it was.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyconvex",
         description="Exact strict-convexity testing for polygons.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -68,10 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     # A polygon file holds values of up to MAX_DIGITS digits, so a lower
     # int-string limit (PYTHONINTMAXSTRDIGITS, 0 for none) is raised for a run.
     limit = sys.get_int_max_str_digits()
@@ -79,7 +82,11 @@ def main(argv=None) -> int:
     if raise_limit:
         sys.set_int_max_str_digits(MAX_DIGITS)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:
+        # A usage error (_Parser.error), or --help.
+        return exc.code
     except (PolygonParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -93,14 +100,15 @@ def main(argv=None) -> int:
 
 
 def _cmd_check(args) -> int:
-    # The deciders read the file as a stream of blocks, and scale each axis
-    # of each block to ints.  The oracles need the vertices held: under
-    # --oracle the deciders read those too, so that the cross-check reads
-    # neither the block stream nor the deciders' block scaling.
+    # The deciders read the file as a stream of exact ratio blocks under
+    # every flag, and scale each axis of each block to ints.  Under --oracle
+    # the blocks of that one read are held, since a pipe is read once; the
+    # oracles take their exact values and scale them on their own, so that
+    # no fault in the deciders' block scaling can make the deciders and the
+    # oracles agree on a wrong polygon.
+    vertices = iter_polygon_blocks(args.file)
     if args.oracle:
-        vertices = read_polygon_file(args.file)
-    else:
-        vertices = iter_polygon_blocks(args.file)
+        blocks = vertices.blocks = list(vertices.blocks)
     # Only --explain and --json print signs; no other run collects them.
     collect_signs = args.explain or args.as_json
     if args.chain:
@@ -115,8 +123,9 @@ def _cmd_check(args) -> int:
         if report.n < 3:
             oracle = {"skipped": f"oracles need n >= 3, got {report.n}"}
         else:
-            sidedness = strictly_convex_oracle(vertices)
-            hull = hull_oracle(vertices)
+            polygon = exact_polygon(blocks)
+            sidedness = strictly_convex_oracle(polygon)
+            hull = hull_oracle(polygon)
             oracle = {"sidedness": sidedness, "hull": hull,
                       "agree": sidedness == hull == report.verdict}
 
@@ -177,16 +186,13 @@ def _print_text_report(report, explain: bool, oracle) -> None:
 
 
 def _cmd_generate(args) -> int:
+    refuse = _build_parser().error
     if args.n > MAX_GENERATE_N:
-        print(f"error: --n must be <= {MAX_GENERATE_N}, got {args.n}: larger "
-              f"polygons have coordinates of more than {MAX_DIGITS} digits",
-              file=sys.stderr)
-        return 2
+        refuse(f"--n must be <= {MAX_GENERATE_N}, got {args.n}: larger "
+               f"polygons have coordinates of more than {MAX_DIGITS} digits")
     witness = args.mode == "witness"
     if (args.omega is not None, args.index is not None) != (witness, witness):
-        print("error: --omega and --i go together, and only with --mode "
-              "witness", file=sys.stderr)
-        return 2
+        refuse("--omega and --i go together, and only with --mode witness")
     try:
         if args.mode == "convex":
             polygon = make_strictly_convex(args.n)
@@ -194,8 +200,7 @@ def _cmd_generate(args) -> int:
             polygon = make_minimality_witness(
                 args.n, ConditionId(args.omega, args.index))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        refuse(str(exc))
     write_polygon_file(args.out, polygon)
     with _stdout_may_close():
         print(f"wrote {len(polygon)} vertices to {args.out}")

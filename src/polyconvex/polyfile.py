@@ -47,13 +47,15 @@ in file order: a bad line ahead of a non-UTF-8 byte is reported first.
 ``parse_polygon`` and ``read_polygon_file`` give the vertices as a tuple of
 Points.
 
-This module only parses.  ``iter_polygon_blocks`` streams the blocks to
-the linear deciders as exact ratio columns, numerators and denominators,
-a per-line block's pairs turned into columns too; the deciders scale each
-axis of each block to ints (``geometry._Scale``).  ``check --oracle``
-reads the vertices with ``read_polygon_file`` instead, so that the oracles
-and the deciders decide the same held values, and no fault in the block
-scaling can make them agree on a wrong polygon.
+This module only parses.  Every block comes out as exact ratio columns,
+numerators and denominators, a per-line block's pairs turned into columns
+as they are parsed.  ``iter_polygon_blocks`` streams them to the linear
+deciders, which scale each axis of each block to ints (``geometry._Scale``)
+under every ``check`` flag.  ``exact_polygon`` gives the blocks' exact
+values, as ``read_polygon_file`` does for a path: ``check --oracle`` holds
+the blocks of its one read and hands their exact values to the oracles,
+which scale them on their own, so that no fault in the deciders' block
+scaling can make the two agree on a wrong polygon.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .geometry import Point, RatioBlocks, _exact, _Ratios, require_exact
 
@@ -319,8 +321,8 @@ def _blocks(file):
 
 
 def _parsed_blocks(path):
-    """Per block, in file order: a canonical block's _Ratios, or the (x, y)
-    pairs of any other block, read by the per-line parser."""
+    """Per block, in file order, its values as _Ratios: a canonical
+    block's read in C, any other's pairs read by the per-line parser."""
     line_number = 1
     end = 0  # bytes read so far
     with open(path, "rb") as file:
@@ -334,42 +336,31 @@ def _parsed_blocks(path):
             ratios = _plain_ratios(block)
             if ratios is not None:
                 line_number += len(ratios.nums) // 2
-                yield ratios
-                # Only the reader holds a block's values while the next
-                # block is read.
-                del ratios
-                continue
-            try:
-                lines = block.decode("utf-8").splitlines()
-            except UnicodeDecodeError as exc:
-                # The lines before the bad byte's line come first.  The "?"
-                # stands in for the bad byte, so a prefix that ends in a
-                # line break counts the line after.
-                lines = (block[:exc.start].decode("utf-8") + "?").splitlines()
-                yield _parse_lines(lines[:-1], line_number)
-                raise PolygonParseError(
-                    f"not UTF-8 text: {exc.reason} at byte "
-                    f"{start + exc.start}",
-                    line_number + len(lines) - 1) from None
-            yield _parse_lines(lines, line_number)
-            line_number += len(lines)
+            else:
+                try:
+                    lines = block.decode("utf-8").splitlines()
+                except UnicodeDecodeError as exc:
+                    # The lines before the bad byte's line come first.  The
+                    # "?" stands in for the bad byte, so a prefix that ends
+                    # in a line break counts the line after.
+                    lines = (block[:exc.start].decode("utf-8")
+                             + "?").splitlines()
+                    yield _ratios(_parse_lines(lines[:-1], line_number))
+                    raise PolygonParseError(
+                        f"not UTF-8 text: {exc.reason} at byte "
+                        f"{start + exc.start}",
+                        line_number + len(lines) - 1) from None
+                ratios = _ratios(_parse_lines(lines, line_number))
+                line_number += len(lines)
+            yield ratios
+            # Only the reader holds a block's values while the next block
+            # is read.
+            del ratios
 
 
-def _exact_pairs(block) -> Iterator[tuple]:
-    """A block's vertices as exact (x, y) pairs."""
-    if not isinstance(block, _Ratios):
-        return block
-    nums, dens = block
-    values = iter(nums if dens is None else map(_exact, nums, dens))
-    return zip(values, values)
-
-
-def _ratios(block) -> _Ratios:
-    """A block's values as ratio columns: a per-line block's pairs are
-    drawn, and so parsed, here."""
-    if isinstance(block, _Ratios):
-        return block
-    values = list(itertools.chain.from_iterable(block))
+def _ratios(pairs) -> _Ratios:
+    """Parsed (x, y) pairs as ratio columns."""
+    values = list(itertools.chain.from_iterable(pairs))
     if Fraction not in set(map(type, values)):
         return _Ratios(values, None)
     return _Ratios(list(map(operator.attrgetter("numerator"), values)),
@@ -382,12 +373,20 @@ def iter_polygon_blocks(path) -> RatioBlocks:
     block as a whole.  Parse errors are those of ``read_polygon_file``, and
     come as the blocks are drawn.
     """
-    return RatioBlocks(map(_ratios, _parsed_blocks(path)))
+    return RatioBlocks(_parsed_blocks(path))
+
+
+def exact_polygon(blocks) -> tuple:
+    """The vertices of ratio blocks, as ``iter_polygon_blocks`` gives them,
+    as a tuple of Points of exact values."""
+    values = itertools.chain.from_iterable(
+        nums if dens is None else map(_exact, nums, dens)
+        for nums, dens in blocks)
+    return tuple(itertools.starmap(Point, zip(values, values)))
 
 
 def read_polygon_file(path) -> tuple:
-    return tuple(itertools.starmap(Point, itertools.chain.from_iterable(
-        map(_exact_pairs, _parsed_blocks(path)))))
+    return exact_polygon(iter_polygon_blocks(path).blocks)
 
 
 def write_polygon_file(path, vertices: Sequence[Point]) -> None:

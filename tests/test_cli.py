@@ -214,6 +214,35 @@ def test_check_oracle_disagreement_exits_3(square_file, monkeypatch, capsys):
                                  "agree": False}
 
 
+def test_check_oracle_cross_checks_the_stream_that_plain_check_decides(
+        tmp_path, monkeypatch):
+    # A fault in the deciders' block scaling: d grows only on the first
+    # value of a column that it does not cover, so a later such value is
+    # floored, not scaled.
+    def first_hit_only(scale, nums, dens):
+        for num, den in zip(nums, dens):
+            if num * scale.d % den:
+                scale.scale(Fraction(num, den))
+                return
+
+    q = [3, 3, 3, 3, 3, 3, 11, 7, 13, 13, 5, 5, 17, 17, 11, 11, 11]
+    polygon = [Point(x, x * x)
+               for x in (t + Fraction(1, q_t) for t, q_t in enumerate(q))]
+    # V14 on its neighbours' chord: not strictly convex.
+    polygon[14] = Point(*((a + b) / 2 for a, b in zip(polygon[13],
+                                                       polygon[15])))
+    path = tmp_path / "parabola.txt"
+    path.write_text(format_polygon(polygon))
+    monkeypatch.setattr(polyfile, "_BLOCK_SIZE", 128)
+    assert checked(["check", str(path)]) == (
+        1, "not-strictly-convex: C1 at i=14\n")
+    monkeypatch.setattr(geometry, "_settle", first_hit_only)
+    # Unguarded, the fault passes the polygon; the oracles catch it.
+    assert checked(["check", str(path)]) == (0, "strictly-convex\n")
+    assert checked(["check", str(path), "--oracle"]) == (
+        3, "strictly-convex\noracles: sidedness=false hull=false -> DISAGREE\n")
+
+
 def test_check_rejects_collinear_triangle_without_condition(tmp_path):
     path = tmp_path / "collinear.txt"
     path.write_text("0 0\n1 0\n2 0\n")
@@ -259,6 +288,7 @@ def test_generate_witness_file_is_exact(tmp_path):
     ["generate", "--mode", "witness", "--n", "6", "--omega", "5", "--i", "2",
      "--out", "x.txt"],
     ["generate", "--mode", "convex", "--n", "2", "--out", "x.txt"],
+    ["generate", "--mode", "convex", "--out", "x.txt"],    # no --n
     # --omega and --i name a witness; convex mode would ignore them.
     ["generate", "--mode", "convex", "--n", "5", "--omega", "2", "--i", "3",
      "--out", "x.txt"],
@@ -548,13 +578,26 @@ def test_generate_deterministic_output(tmp_path):
     assert first == second
 
 
-def test_unknown_command_exits_2(capsys):
-    assert main(["frobnicate"]) == 2
-    assert main(["bench", "--sizes", "8"]) == 2
+def test_unknown_command_exits_2():
+    assert "invalid choice: 'frobnicate'" in refused(["frobnicate"])
+    assert "invalid choice: 'bench'" in refused(["bench", "--sizes", "8"])
 
 
-def test_missing_subcommand_exits_2(capsys):
-    assert main([]) == 2
+def test_missing_subcommand_exits_2():
+    assert "required: command" in refused([])
+
+
+def test_an_unknown_option_exits_2(square_file):
+    assert "unrecognized arguments: --bogus" in refused(
+        ["check", square_file, "--bogus"])
+
+
+def test_help_prints_the_usage_and_exits_0(capsys):
+    for argv in (["--help"], ["check", "--help"]):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: polyconvex")
+        assert captured.err == ""
 
 
 @pytest.fixture
@@ -813,10 +856,11 @@ def block_boundary_files(draw):
     """(text, block size): a 4..60-gon, and a _BLOCK_SIZE of 8..256 bytes.
     The vertices are ints on a grid (mostly not convex), or the parabola
     (x, x^2), with x = t, or t + 1/3 and t + 1/5 by turns from some line
-    on, each maybe with one vertex lifted by 1 and in either orientation.
-    The file is as format_polygon writes it, or has each value in a drawn
-    form (``token``) and each line ended by "\n", "\r\n", "\r" or a "#"
-    comment line."""
+    on, maybe with one vertex moved onto its neighbours' chord or off the
+    curve by +-1/q, q in {3, 5, 7}; each maybe with one vertex lifted by 1
+    and in either orientation.  The file is as format_polygon writes it,
+    or has each value in a drawn form (``token``) and each line ended by
+    "\n", "\r\n", "\r" or a "#" comment line."""
     n = draw(st.integers(4, 60))
     if draw(st.booleans()):
         polygon = draw(st.lists(st.tuples(st.integers(-4, 4),
@@ -827,6 +871,15 @@ def block_boundary_files(draw):
         xs = [t + (Fraction(1, 3 + t % 2 * 2) if t >= thirds else 0)
               for t in range(n)]
         polygon = [(x, x * x) for x in xs]
+        # A verdict that hangs on one exact sign, drawn where the fractions
+        # are, past the first block when they start there.
+        moved = draw(st.none()
+                     | st.integers(min(max(thirds, 1), n - 2), n - 2))
+        if moved is not None:
+            (x0, y0), (x, y), (x1, y1) = polygon[moved - 1:moved + 2]
+            q = draw(st.sampled_from([None, 3, 5, 7, -3, -5, -7]))
+            polygon[moved] = (((x0 + x1) / 2, (y0 + y1) / 2) if q is None
+                              else (x, y + Fraction(1, q)))
     lifted = draw(st.none() | st.integers(0, n - 1))
     if lifted is not None:
         x, y = polygon[lifted]
